@@ -16,6 +16,10 @@ Fixtures:
   benchmarks, two budgets, 30k instructions).  Pins the full accuracy
   pipeline: workload generation, warmup policy, every Figure 1 predictor
   family, aggregation and rendering.
+* ``figure2.txt`` .. ``figure8.txt``, ``extension.txt`` — every other grid
+  figure exactly as ``repro-figures <name>`` prints it, at the smallest
+  scale (``REPRO_SCALE=0.02`` on gzip and eon).  One temporary result store
+  is shared across them, so Figures 2 and 8 resolve from Figure 7's cells.
 
 Regenerating is the *intentional* way to accept a behaviour change: rerun
 this script, eyeball the diff, and commit the new fixtures with the change
@@ -29,9 +33,11 @@ with, so the commit message can record them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).resolve().parent
@@ -42,6 +48,12 @@ REPO_ROOT = GOLDEN_DIR.parent.parent
 FIGURE1_BENCHMARKS = "gcc,eon"
 FIGURE1_BUDGETS = [4 * 1024, 32 * 1024]
 FIGURE1_INSTRUCTIONS = 30_000
+
+#: Grid-figure fixtures: rendered in this order (Figure 7 first, so Figures
+#: 2 and 8 resolve from its stored cells) at this scale and benchmark subset.
+GRID_FIGURES = ["figure7", "figure2", "figure8", "figure5", "figure6", "extension"]
+GRID_SCALE = "0.02"
+GRID_BENCHMARKS = "gzip,eon"
 
 #: The recorded stream: benchmark, seed, trace length and branch count.
 STREAM_BENCHMARK = "gcc"
@@ -108,6 +120,45 @@ def regen_figure1_small() -> None:
     )
 
 
+@contextlib.contextmanager
+def scoped_env(**values: str):
+    """Set environment variables for the block, restoring them after."""
+    saved = {name: os.environ.get(name) for name in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def render_target(name: str) -> str:
+    """The text ``repro-figures <name>`` prints for one target."""
+    from repro.harness.cli import RUNNERS
+
+    return RUNNERS[name]()
+
+
+def regen_grid_figures() -> None:
+    from repro.harness.experiment import default_engine
+
+    with tempfile.TemporaryDirectory() as store, scoped_env(
+        REPRO_SCALE=GRID_SCALE,
+        REPRO_BENCHMARKS=GRID_BENCHMARKS,
+        REPRO_RESULT_STORE=store,
+    ):
+        for name in GRID_FIGURES:
+            (GOLDEN_DIR / f"{name}.txt").write_text(render_target(name) + "\n")
+        print(
+            f"{', '.join(f'{name}.txt' for name in GRID_FIGURES)} "
+            f"(engine={default_engine()}, scale={GRID_SCALE}, "
+            f"benchmarks={GRID_BENCHMARKS}, default trace seeds)"
+        )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -129,6 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     regen_branch_stream()
     regen_table2()
     regen_figure1_small()
+    regen_grid_figures()
     return 0
 
 

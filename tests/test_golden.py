@@ -73,7 +73,12 @@ def test_regen_refuses_dirty_tree(monkeypatch, capsys):
     from tests.golden import regen
 
     calls = []
-    for name in ("regen_branch_stream", "regen_table2", "regen_figure1_small"):
+    for name in (
+        "regen_branch_stream",
+        "regen_table2",
+        "regen_figure1_small",
+        "regen_grid_figures",
+    ):
         monkeypatch.setattr(regen, name, lambda name=name: calls.append(name))
     monkeypatch.setattr(regen, "dirty_files", lambda: [" M src/thing.py"])
     assert regen.main([]) == 1
@@ -84,7 +89,7 @@ def test_regen_refuses_dirty_tree(monkeypatch, capsys):
     assert regen.main(["--force"]) == 0
     monkeypatch.setattr(regen, "dirty_files", lambda: [])
     assert regen.main([]) == 0
-    assert len(calls) == 6
+    assert len(calls) == 8
 
 
 def test_regen_prints_engine_and_seed(monkeypatch, capsys, tmp_path):
@@ -93,6 +98,10 @@ def test_regen_prints_engine_and_seed(monkeypatch, capsys, tmp_path):
 
     monkeypatch.setattr(regen, "GOLDEN_DIR", tmp_path)
     monkeypatch.setattr(regen, "dirty_files", lambda: [])
+    # The grid figures are pinned by their own golden tests; regenerating
+    # all six here would only repeat that work.
+    grid_calls = []
+    monkeypatch.setattr(regen, "regen_grid_figures", lambda: grid_calls.append(1))
     # regen_figure1_small writes REPRO_BENCHMARKS into os.environ;
     # registering it here makes monkeypatch restore the original value.
     monkeypatch.setenv("REPRO_BENCHMARKS", FIGURE1_BENCHMARKS)
@@ -103,3 +112,4 @@ def test_regen_prints_engine_and_seed(monkeypatch, capsys, tmp_path):
     assert (tmp_path / "branch_stream.csv").exists()
     assert (tmp_path / "table2.txt").exists()
     assert (tmp_path / "figure1_small.txt").exists()
+    assert grid_calls == [1]
