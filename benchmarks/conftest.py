@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness.figconfig import builtin_config
 from repro.harness.scale import scale_factor
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -24,9 +25,10 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 ACCURACY_INSTRUCTIONS = 300_000
 IPC_INSTRUCTIONS = 200_000
 
-#: Reduced budget grids (paper ladders thinned to keep runtime sane).
-FIG1_BUDGETS = [4 * 1024, 32 * 1024, 256 * 1024]
-LARGE_BUDGETS = [16 * 1024, 64 * 1024, 512 * 1024]
+#: Budgets kept when thinning a figure config's ladder (runtime stays sane);
+#: :func:`thinned` checks each choice against the config it thins.
+FIG1_THINNED = [4 * 1024, 32 * 1024, 256 * 1024]
+LARGE_THINNED = [16 * 1024, 64 * 1024, 512 * 1024]
 
 
 def accuracy_instructions() -> int:
@@ -35,6 +37,14 @@ def accuracy_instructions() -> int:
 
 def ipc_instructions() -> int:
     return max(int(IPC_INSTRUCTIONS * scale_factor()), 10_000)
+
+
+def thinned(name: str, budgets: list[int]) -> list[int]:
+    """``budgets``, asserted to be a subset of ``configs/<name>.json``'s
+    budget ladder (the config is the only declaration of the ladder)."""
+    ladder = builtin_config(name).grids[0].budgets
+    assert set(budgets) <= set(ladder), f"{budgets} is not on {name}'s ladder {ladder}"
+    return list(budgets)
 
 
 def write_result(name: str, text: str) -> None:

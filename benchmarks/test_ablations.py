@@ -193,14 +193,18 @@ def test_ablation_pipelined_families(once):
     Bi-Mode's bias separation.  This quantifies the paper's closing
     conjecture that other predictors can be reorganized the same way.
     """
-    from benchmarks.conftest import LARGE_BUDGETS
+    from benchmarks.conftest import LARGE_THINNED, thinned
+    from repro.harness.figconfig import builtin_config
     from repro.harness.scale import benchmark_names
     from repro.harness.sweep import accuracy_sweep, mean_by_family_budget
 
+    families = list(builtin_config("extension").grids[0].families)
+    budgets = thinned("extension", LARGE_THINNED)
+
     def sweep():
         cells = accuracy_sweep(
-            ["gshare_fast", "bimode_fast"],
-            LARGE_BUDGETS,
+            families,
+            budgets,
             benchmarks=benchmark_names(),
             instructions=accuracy_instructions(),
         )
@@ -208,22 +212,18 @@ def test_ablation_pipelined_families(once):
 
     means = once(sweep)
     rows = [
-        (
-            f"{budget // 1024}K",
-            f"{means[('gshare_fast', budget)]:.2f}",
-            f"{means[('bimode_fast', budget)]:.2f}",
-        )
-        for budget in LARGE_BUDGETS
+        (f"{budget // 1024}K", *(f"{means[(family, budget)]:.2f}" for family in families))
+        for budget in budgets
     ]
     write_result(
         "abl_pipelined_families",
         render_table(
             "Ablation: pipelined single-cycle families, mean mispredict %",
-            ["budget", "gshare.fast", "bimode.fast"],
+            ["budget", *(family.replace("_", ".") for family in families)],
             rows,
         ),
     )
     # bimode.fast must beat gshare.fast at every budget while keeping the
     # same single-cycle property — the reorganization pays.
-    for budget in LARGE_BUDGETS:
+    for budget in budgets:
         assert means[("bimode_fast", budget)] < means[("gshare_fast", budget)]

@@ -3,19 +3,26 @@ gshare, Bi-Mode, multi-component and perceptron."""
 
 from __future__ import annotations
 
-from benchmarks.conftest import FIG1_BUDGETS, accuracy_instructions, write_result
-from repro.harness.figures import figure1
+from benchmarks.conftest import FIG1_THINNED, accuracy_instructions, thinned, write_result
+from repro.harness.figconfig import builtin_config, figure_panels
+
+BUDGETS = thinned("figure1", FIG1_THINNED)
 
 
 def test_figure1_accuracy_sweep(once):
-    figure = once(figure1, budgets=FIG1_BUDGETS, instructions=accuracy_instructions())
+    (figure,) = once(
+        figure_panels,
+        builtin_config("figure1"),
+        budgets=BUDGETS,
+        instructions=accuracy_instructions(),
+    )
     write_result("figure1", figure.render())
 
     # Shape checks (paper's Figure 1): the perceptron is the most accurate
     # family at every budget, and every family beats plain gshare at the
     # largest budget.
-    largest = FIG1_BUDGETS[-1]
-    for budget in FIG1_BUDGETS:
+    largest = BUDGETS[-1]
+    for budget in BUDGETS:
         perceptron = figure.series["perceptron"][budget]
         # The perceptron and the multi-hybrid are the accuracy leaders
         # (they trade places on hard-benchmark subsets); both clearly beat
@@ -27,4 +34,4 @@ def test_figure1_accuracy_sweep(once):
         assert figure.series[family][largest] < figure.series["gshare"][largest]
     # Accuracy improves (or at worst saturates) from the smallest budget.
     for family in figure.series:
-        assert figure.series[family][largest] <= figure.series[family][FIG1_BUDGETS[0]] + 0.5
+        assert figure.series[family][largest] <= figure.series[family][BUDGETS[0]] + 0.5

@@ -4,12 +4,14 @@ budget for the complex predictors and gshare.fast."""
 from __future__ import annotations
 
 from benchmarks.conftest import accuracy_instructions, write_result
-from repro.harness.figures import MID_BUDGET, figure6
+from repro.harness.figconfig import builtin_config, figure_panels
 from repro.harness.scale import benchmark_names
 
 
 def test_figure6_per_benchmark(once):
-    figure = once(figure6, budget_bytes=MID_BUDGET, instructions=accuracy_instructions())
+    (figure,) = once(
+        figure_panels, builtin_config("figure6"), instructions=accuracy_instructions()
+    )
     write_result("figure6", figure.render())
 
     assert figure.benchmarks == benchmark_names()

@@ -4,19 +4,26 @@ gshare.fast in both panels (it is single-cycle by construction)."""
 
 from __future__ import annotations
 
-from benchmarks.conftest import LARGE_BUDGETS, ipc_instructions, write_result
-from repro.harness.figures import figure7
+from benchmarks.conftest import LARGE_THINNED, ipc_instructions, thinned, write_result
+from repro.harness.figconfig import builtin_config, figure_panels
+
+BUDGETS = thinned("figure7", LARGE_THINNED)
 
 
 def test_figure7_ipc_panels(once):
-    left, right = once(figure7, budgets=LARGE_BUDGETS, instructions=ipc_instructions())
+    left, right = once(
+        figure_panels,
+        builtin_config("figure7"),
+        budgets=BUDGETS,
+        instructions=ipc_instructions(),
+    )
     write_result("figure7_ideal", left.render("Budget", "{:.3f}"))
     write_result("figure7_overriding", right.render("Budget", "{:.3f}"))
 
-    smallest, largest = LARGE_BUDGETS[0], LARGE_BUDGETS[-1]
+    smallest, largest = BUDGETS[0], BUDGETS[-1]
 
     # gshare.fast pays no override penalty: identical in both panels.
-    for budget in LARGE_BUDGETS:
+    for budget in BUDGETS:
         assert abs(left.series["gshare_fast"][budget] - right.series["gshare_fast"][budget]) < 1e-9
 
     for family in ("2bcgskew", "multicomponent", "perceptron"):

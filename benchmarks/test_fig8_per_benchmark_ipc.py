@@ -4,11 +4,13 @@ the complex predictors against single-cycle gshare.fast."""
 from __future__ import annotations
 
 from benchmarks.conftest import ipc_instructions, write_result
-from repro.harness.figures import MID_BUDGET, figure8
+from repro.harness.figconfig import builtin_config, figure_panels
 
 
 def test_figure8_per_benchmark_ipc(once):
-    figure = once(figure8, budget_bytes=MID_BUDGET, instructions=ipc_instructions())
+    (figure,) = once(
+        figure_panels, builtin_config("figure8"), instructions=ipc_instructions()
+    )
     write_result("figure8", figure.render("{:.3f}"))
 
     # Every IPC is physical (0 < ipc < issue width) and the per-benchmark

@@ -9,6 +9,8 @@ Usage::
     repro-figures table2 --profile           # metrics tables + manifest
     repro-figures --list-families            # the registered predictor zoo
 
+Every target is a declarative config: a positional ``figure1`` runs the
+shipped ``configs/figure1.json`` (see :mod:`repro.harness.figconfig`).
 Scale with ``REPRO_SCALE`` (trace length multiplier) and
 ``REPRO_BENCHMARKS`` (subset of benchmark names); pick the accuracy
 evaluation engine with ``--engine`` (or ``REPRO_ENGINE``).
@@ -30,10 +32,10 @@ or before targets) prewarms the store for the current
 Result store: ``--result-store DIR`` (or ``REPRO_RESULT_STORE``) memoizes
 every sweep *cell* under a content key one layer above the trace store, so
 a warm figure regeneration executes zero predictor work.  ``--config
-PATH`` (repeatable; file or directory) runs declarative targets from
-``configs/*.json`` — including inferred tables assembled purely from other
-configs' stored results — and ``--dry-run`` reports hit/miss/inferred per
-target without executing anything (see DESIGN.md §12).
+PATH`` (repeatable; file or directory) runs any config file — including
+inferred tables assembled purely from other configs' stored results — and
+``--dry-run`` reports hit/miss/inferred per target without executing
+anything (see DESIGN.md §12).
 
 Observability: ``--profile`` turns on the metrics registry, per-branch
 misprediction attribution and ``span.*`` phase timers, prints the registry
@@ -57,101 +59,38 @@ import sys
 import time
 
 from repro import obs
-from repro.harness import figures
+from repro.common.errors import ConfigurationError
+from repro.harness import figconfig
 from repro.harness.experiment import ENGINES
 from repro.obs.manifest import build_manifest, write_manifest
 
 
-def run_figure1() -> str:
-    """Figure 1 (accuracy vs budget)."""
-    return figures.figure1().render()
+#: The positional targets, in ``all`` order.  Each runs the shipped config
+#: of the same name (``configs/<name>.json``).
+TARGETS = (
+    "figure1",
+    "figure2",
+    "table1",
+    "table2",
+    "figure5",
+    "figure6",
+    "figure7",
+    "figure8",
+    "delayed-update",
+    "override",
+    "extension",
+)
 
 
-def run_figure2() -> str:
-    """Figure 2 (ideal vs overriding IPC)."""
-    return figures.figure2().render()
-
-
-def run_table1() -> str:
-    """Table 1 (machine parameters)."""
-    return figures.table1()
-
-
-def run_table2() -> str:
-    """Table 2 (predictor latencies)."""
-    return figures.table2()
-
-
-def run_figure5() -> str:
-    """Figure 5 (large-budget accuracy)."""
-    return figures.figure5().render()
-
-
-def run_figure6() -> str:
-    """Figure 6 (per-benchmark accuracy)."""
-    return figures.figure6().render()
-
-
-def run_figure7() -> str:
-    """Figure 7 (both IPC panels)."""
-    left, right = figures.figure7()
-    return left.render() + "\n\n" + right.render()
-
-
-def run_figure8() -> str:
-    """Figure 8 (per-benchmark IPC)."""
-    return figures.figure8().render()
-
-
-def run_delayed_update() -> str:
-    """The Section 3.2 delayed-update study."""
-    return figures.delayed_update_study().render()
-
-
-def run_override() -> str:
-    """The Section 4.5 override-rate study."""
-    return (
-        figures.override_disagreement("perceptron").render()
-        + "\n\n"
-        + figures.override_disagreement("multicomponent").render()
-    )
-
-
-def run_extension() -> str:
-    """The pipelined-families extension study."""
-    return figures.extension_pipelined_families().render()
-
-
-RUNNERS = {
-    "figure1": run_figure1,
-    "figure2": run_figure2,
-    "table1": run_table1,
-    "table2": run_table2,
-    "figure5": run_figure5,
-    "figure6": run_figure6,
-    "figure7": run_figure7,
-    "figure8": run_figure8,
-    "delayed-update": run_delayed_update,
-    "override": run_override,
-    "extension": run_extension,
-}
-
-
-def _run_target(target: str, output_dir: str | None, profile: bool, render=None) -> None:
-    """Regenerate one target; write sidecars / print stats as requested.
-
-    ``render`` overrides the built-in RUNNERS lookup — the ``--config``
-    path passes a closure over the parsed config here, so config targets
-    get the same output files, manifests and profiling as legacy ones.
-    """
-    if render is None:
-        render = RUNNERS[target]
+def _run_target(config: figconfig.TargetConfig, output_dir: str | None, profile: bool) -> None:
+    """Regenerate one config target; write sidecars / print stats as requested."""
+    target = config.name
     if profile:
         # Per-target metrics: each manifest describes exactly one run.
         obs.reset()
     started = time.perf_counter()
     with obs.span(target):
-        text = render()
+        text = figconfig.run_target(config)
     duration = time.perf_counter() - started
     print(text)
     print()
@@ -206,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         # Not argparse `choices`: with nargs="*" those reject an empty
         # list, breaking a bare `--list-families` invocation.  Unknown
         # targets are checked below with the same exit semantics.
-        help=f"which figures/tables to regenerate: {', '.join([*RUNNERS, 'all'])}",
+        help=f"which figures/tables to regenerate: {', '.join([*TARGETS, 'all'])}",
     )
     parser.add_argument(
         "--list-families",
@@ -284,10 +223,10 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         dest="configs",
         help="declarative target config (JSON file, or a directory of "
-        "them; repeatable): runner-mode configs wrap built-in targets, "
-        "sweep-mode configs declare arbitrary registered-family grids, "
-        "inferred-mode configs assemble tables purely from other "
-        "configs' stored results (see configs/ and DESIGN.md §12)",
+        "them; repeatable): sweep-mode configs declare registered-family "
+        "grids (every paper figure is one), inferred-mode configs assemble "
+        "tables purely from other configs' stored results, runner-mode "
+        "configs name a grid-less table (see configs/ and DESIGN.md §12)",
     )
     parser.add_argument(
         "--dry-run",
@@ -336,17 +275,13 @@ def main(argv: list[str] | None = None) -> int:
             return 0
     configs = []
     if args.configs:
-        from repro.common.errors import ConfigurationError
-        from repro.harness.figconfig import load_configs
-
         try:
-            configs = load_configs(args.configs)
+            configs = figconfig.load_configs(args.configs)
         except ConfigurationError as exc:
             parser.error(str(exc))
     if args.dry_run:
         if not configs:
             parser.error("--dry-run requires --config")
-        from repro.harness.figconfig import classify
         from repro.harness.report import render_classification
         from repro.harness.resultstore import active_result_store
 
@@ -355,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             render_classification(
                 "Config targets: result-store classification (dry run)",
-                [classify(config, store, run_dir=run_dir) for config in configs],
+                [figconfig.classify(config, store, run_dir=run_dir) for config in configs],
             )
         )
         return 0
@@ -364,13 +299,15 @@ def main(argv: list[str] | None = None) -> int:
             "no targets given (or use --config / --list-families / --warm-traces)"
         )
     for target in args.targets:
-        if target not in RUNNERS and target != "all":
+        if target not in TARGETS and target != "all":
             parser.error(
                 f"unknown target {target!r} (choose from "
-                f"{', '.join([*RUNNERS, 'all'])})"
+                f"{', '.join([*TARGETS, 'all'])})"
             )
+    targets = TARGETS if "all" in args.targets else args.targets
+    configs = [figconfig.builtin_config(target) for target in targets] + configs
     if args.engine is not None:
-        # Runners take no arguments; the environment variable is the
+        # Targets take no arguments; the environment variable is the
         # process-wide channel every sweep already consults.
         os.environ["REPRO_ENGINE"] = args.engine
     if args.resume is not None:
@@ -385,7 +322,6 @@ def main(argv: list[str] | None = None) -> int:
         os.environ["REPRO_RUN_DIR"] = args.run_dir
     if args.max_retries is not None:
         os.environ["REPRO_MAX_RETRIES"] = str(args.max_retries)
-    targets = list(RUNNERS) if "all" in args.targets else args.targets
     # Own the REPRO_LOG file before any sweep forks workers, so worker
     # processes route their events to per-PID sidecars (no interleaving).
     obs.claim_log_ownership()
@@ -395,17 +331,8 @@ def main(argv: list[str] | None = None) -> int:
             obs.set_enabled(True)
         if args.verbose:
             obs.set_verbose(True)
-        for target in targets:
-            _run_target(target, args.output_dir, args.profile)
         for config in configs:
-            from repro.harness.figconfig import run_target as run_config_target
-
-            _run_target(
-                config.name,
-                args.output_dir,
-                args.profile,
-                render=lambda config=config: run_config_target(config, RUNNERS),
-            )
+            _run_target(config, args.output_dir, args.profile)
     finally:
         if args.profile:
             obs.set_enabled(prior_enabled)
@@ -419,7 +346,6 @@ def main(argv: list[str] | None = None) -> int:
 
 def _campaign_grid(args, parser) -> tuple[list, dict]:
     """(shards, cfg_by_kind) from the ``run`` subcommand's grid flags."""
-    from repro.harness.figconfig import grid_cfg
     from repro.harness.parallel import Shard
     from repro.harness.scale import benchmark_names
 
@@ -451,7 +377,7 @@ def _campaign_grid(args, parser) -> tuple[list, dict]:
                     )
                 else:
                     shards.append(Shard("accuracy", benchmark, family, budget))
-    return shards, {args.kind: grid_cfg(args.kind)}
+    return shards, {args.kind: figconfig.grid_cfg(args.kind)}
 
 
 def _campaign_report(run_dir: str, cells, label: str) -> dict:

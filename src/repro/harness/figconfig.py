@@ -1,32 +1,43 @@
-"""Declarative figure/table target configs (``repro-figures --config``).
+"""Declarative figure/table targets: ``configs/*.json`` (``repro-figures``).
 
-A config file is a small JSON document that *names* a regeneration target
-instead of hard-coding it in the CLI.  Three modes:
-
-``runner``
-    Wraps one of the CLI's built-in targets (``figure1`` .. ``extension``)
-    and declares the sweep grid(s) that target iterates.  Output is
-    byte-identical to the legacy positional-target path — the declared grid
-    exists so ``--dry-run`` can classify every cell against the result
-    store without running anything.
+A config file is a small JSON document that declares one regeneration
+target.  Every grid figure of the paper is a config and nothing else: its
+family list, budget ladder, IPC modes and titles live only in its file,
+and one generic path (:func:`figure_panels`) sweeps and renders it.
+Positional targets (``repro-figures figure1``) resolve to the file of the
+same name in :data:`CONFIG_DIR`.  Three modes:
 
 ``sweep``
-    A self-contained declarative sweep: families x budgets (accuracy) or
-    families x budgets x modes (IPC), rendered as a
-    :class:`~repro.harness.figures.SeriesFigure`.  Because families resolve
-    through the predictor registry — and ``family_modules`` lists modules
-    to import first — an external family (e.g. the test-suite toy family)
-    gets a figure with zero harness edits.
+    One grid: families x budgets (accuracy) or families x budgets x modes
+    (IPC).  ``renderer`` picks the figure shape:
+
+    * ``series`` (default) — a :class:`~repro.harness.figures.SeriesFigure`
+      with budgets on x.  An IPC grid whose ``title`` is a list renders one
+      panel per mode (Figure 7); with a single title, a multi-mode grid
+      labels each series with the mode's fixed suffix from
+      :data:`MODE_SUFFIXES` (Figure 2).
+    * ``per_benchmark`` — a :class:`~repro.harness.figures.PerBenchmarkFigure`
+      at the grid's single budget (and single mode), with the grid kind's
+      mean row: ``arith.mean`` of misprediction rates or ``harm.mean`` of
+      IPCs (Figures 6 and 8).
+
+    Because families resolve through the predictor registry — and
+    ``family_modules`` lists modules to import first — an external family
+    (e.g. the test-suite toy family) gets a figure with zero harness edits.
 
 ``inferred``
-    A projection assembled *purely from already-stored results* of other
-    configs: it declares ``based_on`` (the config names whose grids cover
-    it) and its cell set must be a subset of the union of those base grids
-    — the inference graph, validated up front.  Resolution goes through the
-    ordinary sweeps, so with the bases warm in the result store an inferred
-    target performs zero predictor work; with a cold store it still
-    produces correct output (it just computes the cells, warming them for
-    the bases in turn).
+    A sweep-shaped projection assembled *purely from already-stored
+    results* of other configs: it declares ``based_on`` (the config names
+    whose grids cover it) and its cell set must be a subset of the union of
+    those base grids — the inference graph, validated up front.  Resolution
+    goes through the ordinary sweeps, so with the bases warm in the result
+    store an inferred target performs zero predictor work; with a cold
+    store it still produces correct output.
+
+``runner``
+    One of the four targets that sweep no grid (``table1``, ``table2``,
+    ``delayed-update``, ``override``), named by its ``target`` and rendered
+    by :data:`repro.harness.figures.RUNNERS`.
 
 ``--dry-run`` probes the active result store for every declared cell and
 reports hit/miss/inferred per target without mutating anything (corrupt
@@ -45,14 +56,29 @@ import json
 import os
 from collections.abc import Iterator, Mapping
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from repro.common.errors import ConfigurationError
 
 #: Bumped when the config-file layout changes.
 CONFIG_SCHEMA = 1
 
+#: The shipped target configs, located from the source tree (the package
+#: is installed in editable mode, ``pip install -e .``).
+CONFIG_DIR = Path(__file__).resolve().parents[3] / "configs"
+
 _MODES = ("runner", "sweep", "inferred")
 _GRID_KINDS = ("accuracy", "ipc")
+_RENDERERS = ("series", "per_benchmark")
+_TOP_FIELDS = {
+    "schema", "target", "mode", "title", "renderer", "based_on",
+    "family_modules", "grids",
+}
+_GRID_FIELDS = {"kind", "families", "budgets", "benchmarks", "modes"}
+
+#: Series-label suffix per IPC mode when one panel shows several modes
+#: (Figure 2's "ideal vs overriding" lines).
+MODE_SUFFIXES = {"ideal": "(no delay)", "overriding": "(overriding)"}
 
 
 @dataclass(frozen=True)
@@ -67,14 +93,15 @@ class GridSpec:
     #: IPC policy modes ("ideal"/"overriding"); empty for accuracy grids.
     modes: tuple[str, ...] = ()
 
-    def cells(self) -> Iterator[tuple]:
-        """Every (benchmark, family, budget[, mode]) cell in the grid."""
+    def resolved_benchmarks(self) -> list[str]:
+        """The declared benchmarks, or the environment's subset."""
         from repro.harness.scale import benchmark_names
 
-        benchmarks = self.benchmarks if self.benchmarks is not None else tuple(
-            benchmark_names()
-        )
-        for benchmark in benchmarks:
+        return list(self.benchmarks) if self.benchmarks is not None else benchmark_names()
+
+    def cells(self) -> Iterator[tuple]:
+        """Every (benchmark, family, budget[, mode]) cell in the grid."""
+        for benchmark in self.resolved_benchmarks():
             for family in self.families:
                 for budget in self.budgets:
                     if self.kind == "ipc":
@@ -91,8 +118,9 @@ class TargetConfig:
     name: str
     mode: str
     path: str = ""  # source file, for diagnostics
-    runner: str = ""  # runner mode: key into the CLI RUNNERS table
-    title: str = ""  # sweep/inferred: rendered figure title
+    #: sweep/inferred: the rendered title, or one title per IPC mode panel.
+    title: str | tuple[str, ...] = ""
+    renderer: str = "series"  # sweep/inferred: "series" | "per_benchmark"
     based_on: tuple[str, ...] = ()  # inferred: covering config names
     family_modules: tuple[str, ...] = ()  # imported before family resolution
     grids: tuple[GridSpec, ...] = field(default_factory=tuple)
@@ -117,9 +145,22 @@ def _str_tuple(value, key: str, path: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _refuse_unknown_fields(data: Mapping, allowed: set[str], where: str, path: str) -> None:
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ConfigurationError(
+            f"config {path}: unknown {where} field(s) {unknown} "
+            f"(allowed: {sorted(allowed)})"
+        )
+
+
 def _parse_grid(data, path: str) -> GridSpec:
+    from repro.harness.sweep import POLICY_MODES
+    from repro.workloads.catalog import workload_names
+
     if not isinstance(data, Mapping):
         raise ConfigurationError(f"config {path}: each grid must be an object")
+    _refuse_unknown_fields(data, _GRID_FIELDS, "grid", path)
     kind = _require(data, "kind", path)
     if kind not in _GRID_KINDS:
         raise ConfigurationError(
@@ -130,7 +171,8 @@ def _parse_grid(data, path: str) -> GridSpec:
     if (
         not isinstance(budgets, list)
         or not budgets
-        or not all(isinstance(b, int) and b > 0 for b in budgets)
+        # bool is an int subclass: refuse ``true`` before it reaches sizing.
+        or not all(type(b) is int and b > 0 for b in budgets)
     ):
         raise ConfigurationError(
             f"config {path}: 'budgets' must be a non-empty list of positive integers"
@@ -138,11 +180,24 @@ def _parse_grid(data, path: str) -> GridSpec:
     benchmarks = data.get("benchmarks")
     if benchmarks is not None:
         benchmarks = _str_tuple(benchmarks, "benchmarks", path)
+        known = set(workload_names())
+        unknown = [name for name in benchmarks if name not in known]
+        if unknown:
+            raise ConfigurationError(
+                f"config {path}: unknown benchmarks {unknown} "
+                f"(not in the workload catalog)"
+            )
     modes: tuple[str, ...] = ()
     if kind == "ipc":
         modes = _str_tuple(_require(data, "modes", path), "modes", path)
         if not modes:
             raise ConfigurationError(f"config {path}: an ipc grid needs 'modes'")
+        unknown = [mode for mode in modes if mode not in POLICY_MODES]
+        if unknown:
+            raise ConfigurationError(
+                f"config {path}: unknown ipc modes {unknown} "
+                f"(choose from {list(POLICY_MODES)})"
+            )
     elif "modes" in data:
         raise ConfigurationError(f"config {path}: 'modes' is only valid for ipc grids")
     return GridSpec(
@@ -154,8 +209,9 @@ def _parse_grid(data, path: str) -> GridSpec:
     )
 
 
-def load_config(path: str) -> TargetConfig:
+def load_config(path: str | os.PathLike) -> TargetConfig:
     """Parse and validate one config file; raises ConfigurationError."""
+    path = str(path)
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -164,6 +220,36 @@ def load_config(path: str) -> TargetConfig:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from None
     return parse_config(data, path)
+
+
+def _parse_view(data: Mapping, mode: str, grids: tuple[GridSpec, ...], path: str):
+    """(title, renderer) of a sweep/inferred config, checked against its
+    single grid: a non-empty title, or one per mode for an IPC series."""
+    if len(grids) != 1:
+        raise ConfigurationError(f"config {path}: {mode} mode requires exactly one grid")
+    grid = grids[0]
+    renderer = data.get("renderer", "series")
+    if renderer not in _RENDERERS:
+        raise ConfigurationError(
+            f"config {path}: renderer must be one of {_RENDERERS}, got {renderer!r}"
+        )
+    if renderer == "per_benchmark" and (len(grid.budgets) != 1 or len(grid.modes) > 1):
+        raise ConfigurationError(
+            f"config {path}: a per_benchmark figure needs exactly one budget "
+            f"(and, for ipc, one mode)"
+        )
+    title = _require(data, "title", path)
+    if isinstance(title, list) and renderer == "series" and grid.kind == "ipc":
+        title = _str_tuple(title, "title", path)
+        valid = len(title) == len(grid.modes) and all(title)
+    else:
+        valid = isinstance(title, str) and bool(title)
+    if not valid:
+        raise ConfigurationError(
+            f"config {path}: 'title' must be a non-empty string (or, for an ipc "
+            f"series grid, one per mode: {len(grid.modes)} panel titles)"
+        )
+    return title, renderer
 
 
 def parse_config(data: object, path: str = "<memory>") -> TargetConfig:
@@ -177,6 +263,7 @@ def parse_config(data: object, path: str = "<memory>") -> TargetConfig:
             f"config {path}: schema {data.get('schema')!r} unsupported "
             f"(expected {CONFIG_SCHEMA})"
         )
+    _refuse_unknown_fields(data, _TOP_FIELDS, "top-level", path)
     name = _require(data, "target", path)
     if not isinstance(name, str) or not name:
         raise ConfigurationError(f"config {path}: 'target' must be a non-empty string")
@@ -186,21 +273,27 @@ def parse_config(data: object, path: str = "<memory>") -> TargetConfig:
             f"config {path}: mode must be one of {_MODES}, got {mode!r}"
         )
     grids = tuple(_parse_grid(grid, path) for grid in data.get("grids", []))
-    runner = data.get("runner", "")
-    title = data.get("title", "")
     based_on = _str_tuple(data.get("based_on", []), "based_on", path)
     family_modules = _str_tuple(
         data.get("family_modules", []), "family_modules", path
     )
-    if mode == "runner" and not runner:
-        raise ConfigurationError(f"config {path}: runner mode requires 'runner'")
-    if mode in ("sweep", "inferred"):
-        if len(grids) != 1:
+    title, renderer = "", "series"
+    if mode == "runner":
+        from repro.harness.figures import RUNNERS
+
+        if name not in RUNNERS:
             raise ConfigurationError(
-                f"config {path}: {mode} mode requires exactly one grid"
+                f"config {path}: runner mode is for the grid-less targets "
+                f"{sorted(RUNNERS)}, not {name!r}"
             )
-        if not title:
-            raise ConfigurationError(f"config {path}: {mode} mode requires 'title'")
+        extra = sorted(set(data) & {"title", "renderer", "grids"})
+        if extra:
+            raise ConfigurationError(
+                f"config {path}: runner mode takes no {extra} "
+                f"(a grid figure is a sweep config)"
+            )
+    else:
+        title, renderer = _parse_view(data, mode, grids, path)
     if mode == "inferred" and not based_on:
         raise ConfigurationError(
             f"config {path}: inferred mode requires a non-empty 'based_on'"
@@ -213,18 +306,24 @@ def parse_config(data: object, path: str = "<memory>") -> TargetConfig:
         name=name,
         mode=mode,
         path=path,
-        runner=runner,
         title=title,
+        renderer=renderer,
         based_on=based_on,
         family_modules=family_modules,
         grids=grids,
     )
 
 
+def builtin_config(name: str) -> TargetConfig:
+    """The shipped config a positional ``repro-figures <name>`` runs."""
+    return load_config(CONFIG_DIR / f"{name}.json")
+
+
 def load_configs(paths: list[str]) -> list[TargetConfig]:
     """Load every config named by ``paths`` (files, or directories whose
     ``*.json`` entries are loaded in sorted order); duplicate target names
-    are refused, and every inferred config's inference graph is validated."""
+    are refused, every family must resolve in the predictor registry, and
+    every inferred config's inference graph is validated."""
     files: list[str] = []
     for path in paths:
         if os.path.isdir(path):
@@ -245,8 +344,25 @@ def load_configs(paths: list[str]) -> list[TargetConfig]:
                 f"({seen[config.name]} and {config.path})"
             )
         seen[config.name] = config.path
+        validate_families(config)
     validate_inference(configs)
     return configs
+
+
+def validate_families(config: TargetConfig) -> None:
+    """Every family the config names must resolve in the predictor registry
+    once its ``family_modules`` are imported."""
+    from repro.predictors import registry
+
+    _import_family_modules(config)
+    known = set(registry.family_names())
+    for grid in config.grids:
+        unknown = [family for family in grid.families if family not in known]
+        if unknown:
+            raise ConfigurationError(
+                f"config {config.path}: unregistered predictor families "
+                f"{unknown} (registered: {sorted(known)})"
+            )
 
 
 def validate_inference(configs: list[TargetConfig]) -> None:
@@ -357,14 +473,24 @@ def classify(config: TargetConfig, store, run_dir: str | None = None) -> dict:
 # -- execution -----------------------------------------------------------------
 
 
-def _render_grid(config: TargetConfig) -> str:
-    """Render a sweep/inferred config's single grid as a SeriesFigure.
+def figure_panels(
+    config: TargetConfig,
+    budgets: list[int] | None = None,
+    instructions: int | None = None,
+) -> list:
+    """Sweep a sweep/inferred config's grid and build its figure panel(s).
 
-    Resolution goes through the ordinary sweeps, so the result store (when
-    active) supplies every already-computed cell; with the declared grid
-    warm, rendering performs zero predictor work.
+    One sweep call per IPC mode (one for an accuracy grid), each under a
+    ``<target>.sweep`` span.  Resolution goes through the ordinary sweeps,
+    so the result store (when active) supplies every already-computed cell;
+    with the declared grid warm, rendering performs zero predictor work.
+
+    ``budgets`` thins the budget ladder (it must be a subset of the
+    config's) and ``instructions`` overrides the scaled trace length — for
+    callers, such as the benchmark suite, that pin a reduced grid.
     """
-    from repro.harness.figures import SeriesFigure
+    from repro import obs
+    from repro.harness.figures import PerBenchmarkFigure, SeriesFigure
     from repro.harness.sweep import (
         accuracy_sweep,
         hmean_ipc_by_family_budget,
@@ -372,43 +498,62 @@ def _render_grid(config: TargetConfig) -> str:
         mean_by_family_budget,
     )
 
-    grid = config.grids[0]
-    benchmarks = list(grid.benchmarks) if grid.benchmarks is not None else None
-    figure = SeriesFigure(title=config.title, x_values=list(grid.budgets))
-    if grid.kind == "accuracy":
-        cells = accuracy_sweep(
-            list(grid.families), list(grid.budgets), benchmarks=benchmarks
-        )
-        for (family, budget), value in mean_by_family_budget(cells).items():
-            figure.series.setdefault(family, {})[budget] = value
-        return figure.render()
-    multi_mode = len(grid.modes) > 1
-    for mode in grid.modes:
-        cells = ipc_sweep(
-            list(grid.families),
-            list(grid.budgets),
-            mode=mode,
-            benchmarks=benchmarks,
-        )
-        for (family, budget), value in hmean_ipc_by_family_budget(cells).items():
-            name = f"{family} [{mode}]" if multi_mode else family
-            figure.series.setdefault(name, {})[budget] = value
-    return figure.render()
-
-
-def run_target(config: TargetConfig, runners: Mapping[str, object]) -> str:
-    """Regenerate one config target; returns the rendered text.
-
-    ``runners`` is the CLI's name->callable table (passed in rather than
-    imported, keeping this module importable below the CLI).
-    """
     _import_family_modules(config)
-    if config.mode == "runner":
-        runner = runners.get(config.runner)
-        if runner is None:
-            raise ConfigurationError(
-                f"config {config.path}: unknown runner {config.runner!r} "
-                f"(choose from {', '.join(runners)})"
+    grid = config.grids[0]
+    if budgets is None:
+        budgets = list(grid.budgets)
+    elif not set(budgets) <= set(grid.budgets):
+        raise ConfigurationError(
+            f"config {config.path}: budgets {sorted(set(budgets) - set(grid.budgets))} "
+            f"are not on the declared ladder {list(grid.budgets)}"
+        )
+    families = list(grid.families)
+    benchmarks = grid.resolved_benchmarks()
+    accuracy = grid.kind == "accuracy"
+    modes = [None] if accuracy else list(grid.modes)
+    panel_per_mode = isinstance(config.title, tuple)
+    panels: list = []
+    for index, mode in enumerate(modes):
+        if accuracy:
+            with obs.span(f"{config.name}.sweep", budgets=len(budgets)):
+                cells = accuracy_sweep(
+                    families, budgets, benchmarks=benchmarks, instructions=instructions
+                )
+            means = mean_by_family_budget(cells)
+        else:
+            with obs.span(f"{config.name}.sweep", mode=mode, budgets=len(budgets)):
+                cells = ipc_sweep(
+                    families, budgets, mode=mode, benchmarks=benchmarks,
+                    instructions=instructions,
+                )
+            means = hmean_ipc_by_family_budget(cells)
+        if config.renderer == "per_benchmark":
+            figure = PerBenchmarkFigure(
+                title=config.title,
+                benchmarks=benchmarks,
+                mean_label="arith.mean" if accuracy else "harm.mean",
             )
-        return runner()
-    return _render_grid(config)
+            for cell in cells:
+                figure.series.setdefault(cell.family, {})[cell.benchmark] = (
+                    cell.misprediction_percent if accuracy else cell.ipc
+                )
+            figure.means = {family: value for (family, _), value in means.items()}
+            panels.append(figure)
+            continue
+        if panel_per_mode or not panels:
+            title = config.title[index] if panel_per_mode else config.title
+            panels.append(SeriesFigure(title=title, x_values=budgets))
+        suffix = "" if panel_per_mode or len(modes) == 1 else f" {MODE_SUFFIXES[mode]}"
+        for (family, budget), value in means.items():
+            panels[-1].series.setdefault(family + suffix, {})[budget] = value
+    return panels
+
+
+def run_target(config: TargetConfig) -> str:
+    """Regenerate one config target; returns the rendered text (panels
+    separated by a blank line)."""
+    if config.mode == "runner":
+        from repro.harness.figures import RUNNERS
+
+        return RUNNERS[config.name]()
+    return "\n\n".join(panel.render() for panel in figure_panels(config))

@@ -1,33 +1,20 @@
-"""Regeneration entry points for every table and figure in the paper.
+"""The paper's grid-less targets, and the figure renderers every grid uses.
 
-Each ``figureN()`` / ``tableN()`` function reruns the underlying experiment
-at the current ``REPRO_SCALE`` and returns structured data; the matching
-``format_*`` helper renders the same rows/series the paper plots.  The
-benchmark suite (``benchmarks/``) wraps these, and ``repro-figures`` (the
-CLI) prints them.
+Every grid figure (Figures 1, 2 and 5-8, plus the pipelined-families
+extension) is declared only by its ``configs/<name>.json`` file and
+rendered by :func:`repro.harness.figconfig.run_target` into the
+:class:`SeriesFigure` / :class:`PerBenchmarkFigure` classes below.  This
+module keeps the four targets that sweep no grid, in :data:`RUNNERS`:
 
-All trace acquisition goes through :func:`repro.workloads.spec2000_trace`,
-so with ``REPRO_TRACE_STORE`` set every figure transparently reuses the
-content-addressed on-disk trace store: a warm run replays stored columnar
-traces with zero generation work and byte-identical rendered output
-(``scripts/trace_store_check.py`` asserts exactly this on the Figure 1
-grid).
-
-Index (see DESIGN.md for the full experiment table):
-
-* Figure 1 — mean misprediction vs budget: gshare, Bi-Mode,
-  multi-component, perceptron (2KB-512KB).
-* Figure 2 — IPC of perceptron & multi-component, ideal vs overriding.
 * Table 1  — simulated machine parameters.
 * Table 2  — predictor access latencies.
-* Figure 5 — mean misprediction, large budgets: 2Bc-gskew,
-  multi-component, perceptron, gshare.fast.
-* Figure 6 — per-benchmark misprediction at a 64KB-class budget.
-* Figure 7 — harmonic-mean IPC vs budget, ideal (left) and overriding
-  (right) for the complex predictors plus gshare.fast.
-* Figure 8 — per-benchmark IPC at the ~53-64KB budget point.
-* §3.2     — delayed-PHT-update accuracy/IPC study.
-* §4.5     — override (disagreement) rate statistics.
+* §3.2     — delayed-PHT-update accuracy/IPC study (``delayed-update``).
+* §4.5     — override (disagreement) rate statistics (``override``).
+
+A ``runner``-mode config names one of them by its target name.  All trace
+acquisition goes through :func:`repro.workloads.spec2000_trace`, so with
+``REPRO_TRACE_STORE`` set every target reuses the content-addressed trace
+store with byte-identical output (see DESIGN.md's experiment index).
 """
 
 from __future__ import annotations
@@ -45,29 +32,15 @@ from repro.harness.scale import (
     ipc_instructions,
     warmup_branches,
 )
-from repro.harness.sweep import (
-    FULL_BUDGETS,
-    LARGE_BUDGETS,
-    accuracy_sweep,
-    ipc_sweep,
-    mean_by_family_budget,
-    override_statistics,
-)
+from repro.harness.sweep import override_statistics
 from repro.timing.latency import table2 as timing_table2
 from repro.uarch.config import PAPER_MACHINE
 from repro.uarch.simulator import CycleSimulator
 from repro.workloads.spec2000 import get_profile, spec2000_trace
 
 #: The paper reports complex predictors at a "53KB" hardware budget; our
-#: power-of-two ladder's nearest point is 64KB.
+#: power-of-two ladder's nearest point is 64KB (the override study's budget).
 MID_BUDGET = 64 * 1024
-
-FIGURE1_FAMILIES = ["gshare", "bimode", "multicomponent", "perceptron"]
-FIGURE5_FAMILIES = ["2bcgskew", "multicomponent", "perceptron", "gshare_fast"]
-FIGURE7_FAMILIES = ["2bcgskew", "multicomponent", "perceptron"]
-FIGURE6_FAMILIES = ["multicomponent", "perceptron", "gshare_fast"]
-FIGURE8_FAMILIES = ["multicomponent", "perceptron", "gshare_fast"]
-EXTENSION_FAMILIES = ["gshare_fast", "bimode_fast"]
 
 
 @dataclass
@@ -106,61 +79,6 @@ class PerBenchmarkFigure:
             [self.mean_label] + [value_format.format(self.means[name]) for name in names]
         )
         return render_table(self.title, ["benchmark", *names], rows)
-
-
-# -- Figure 1 -----------------------------------------------------------------
-
-
-def figure1(
-    budgets: list[int] | None = None,
-    instructions: int | None = None,
-    engine: str | None = None,
-    jobs: int | None = None,
-) -> SeriesFigure:
-    """Arithmetic-mean misprediction rates vs hardware budget (Figure 1)."""
-    budgets = budgets or FULL_BUDGETS
-    with obs.span("figure1.sweep", budgets=len(budgets)):
-        cells = accuracy_sweep(
-            FIGURE1_FAMILIES, budgets, instructions=instructions, engine=engine,
-            jobs=jobs,
-        )
-    means = mean_by_family_budget(cells)
-    figure = SeriesFigure(
-        title="Figure 1: arithmetic mean misprediction rate (%) on SPECint2000",
-        x_values=budgets,
-    )
-    for (family, budget), value in means.items():
-        figure.series.setdefault(family, {})[budget] = value
-    return figure
-
-
-# -- Figure 2 -----------------------------------------------------------------
-
-
-def figure2(
-    budgets: list[int] | None = None,
-    instructions: int | None = None,
-    jobs: int | None = None,
-) -> SeriesFigure:
-    """Ideal vs realistic (overriding) IPC for the two most accurate complex
-    predictors (Figure 2)."""
-    budgets = budgets or LARGE_BUDGETS
-    families = ["multicomponent", "perceptron"]
-    figure = SeriesFigure(
-        title="Figure 2: harmonic mean IPC, ideal vs overriding",
-        x_values=budgets,
-    )
-    for mode, suffix in (("ideal", "(no delay)"), ("overriding", "(overriding)")):
-        with obs.span("figure2.sweep", mode=mode, budgets=len(budgets)):
-            cells = ipc_sweep(
-                families, budgets, mode=mode, instructions=instructions, jobs=jobs
-            )
-        groups: dict[tuple[str, int], list[float]] = {}
-        for cell in cells:
-            groups.setdefault((cell.family, cell.budget_bytes), []).append(cell.ipc)
-        for (family, budget), values in groups.items():
-            figure.series.setdefault(f"{family} {suffix}", {})[budget] = harmonic_mean(values)
-    return figure
 
 
 # -- Table 1 ------------------------------------------------------------------
@@ -205,164 +123,6 @@ def table2() -> str:
         ["MC budget", "MC delay", "Budget", "2Bc-gskew delay", "Perceptron delay"],
         rows,
     )
-
-
-# -- Figure 5 -----------------------------------------------------------------
-
-
-def figure5(
-    budgets: list[int] | None = None,
-    instructions: int | None = None,
-    engine: str | None = None,
-    jobs: int | None = None,
-) -> SeriesFigure:
-    """Mean misprediction rates of the four large predictors (Figure 5)."""
-    budgets = budgets or LARGE_BUDGETS
-    with obs.span("figure5.sweep", budgets=len(budgets)):
-        cells = accuracy_sweep(
-            FIGURE5_FAMILIES, budgets, instructions=instructions, engine=engine,
-            jobs=jobs,
-        )
-    means = mean_by_family_budget(cells)
-    figure = SeriesFigure(
-        title="Figure 5: arithmetic mean misprediction rate (%), large budgets",
-        x_values=budgets,
-    )
-    for (family, budget), value in means.items():
-        figure.series.setdefault(family, {})[budget] = value
-    return figure
-
-
-# -- Figure 6 -----------------------------------------------------------------
-
-
-def figure6(
-    budget_bytes: int = MID_BUDGET,
-    instructions: int | None = None,
-    engine: str | None = None,
-    jobs: int | None = None,
-) -> PerBenchmarkFigure:
-    """Per-benchmark misprediction rates at the mid (53-64KB) budget
-    (Figure 6)."""
-    benchmarks = benchmark_names()
-    with obs.span("figure6.sweep", budget=budget_bytes):
-        cells = accuracy_sweep(
-            FIGURE6_FAMILIES,
-            [budget_bytes],
-            benchmarks=benchmarks,
-            instructions=instructions,
-            engine=engine,
-            jobs=jobs,
-        )
-    figure = PerBenchmarkFigure(
-        title=f"Figure 6: misprediction rates (%) at a {format_budget(budget_bytes)} budget",
-        benchmarks=benchmarks,
-        mean_label="arith.mean",
-    )
-    for cell in cells:
-        figure.series.setdefault(cell.family, {})[cell.benchmark] = cell.misprediction_percent
-    for family, values in figure.series.items():
-        figure.means[family] = arithmetic_mean(list(values.values()))
-    return figure
-
-
-# -- Figure 7 -----------------------------------------------------------------
-
-
-def figure7(
-    budgets: list[int] | None = None,
-    instructions: int | None = None,
-    jobs: int | None = None,
-) -> tuple[SeriesFigure, SeriesFigure]:
-    """Harmonic-mean IPC vs budget: ideal (left panel) and overriding
-    (right panel), complex predictors plus gshare.fast (Figure 7)."""
-    budgets = budgets or LARGE_BUDGETS
-    panels = []
-    for mode, label in (("ideal", "1-cycle (ideal)"), ("overriding", "overriding")):
-        figure = SeriesFigure(
-            title=f"Figure 7 ({label}): harmonic mean IPC",
-            x_values=budgets,
-        )
-        with obs.span("figure7.sweep", mode=mode, budgets=len(budgets)):
-            cells = ipc_sweep(
-                FIGURE7_FAMILIES + ["gshare_fast"],
-                budgets,
-                mode=mode,
-                instructions=instructions,
-                jobs=jobs,
-            )
-        groups: dict[tuple[str, int], list[float]] = {}
-        for cell in cells:
-            groups.setdefault((cell.family, cell.budget_bytes), []).append(cell.ipc)
-        for (family, budget), values in groups.items():
-            figure.series.setdefault(family, {})[budget] = harmonic_mean(values)
-        panels.append(figure)
-    return panels[0], panels[1]
-
-
-# -- Figure 8 -----------------------------------------------------------------
-
-
-def figure8(
-    budget_bytes: int = MID_BUDGET,
-    instructions: int | None = None,
-    jobs: int | None = None,
-) -> PerBenchmarkFigure:
-    """Per-benchmark IPC at the mid budget, overriding for the complex
-    predictors and single-cycle for gshare.fast (Figure 8)."""
-    benchmarks = benchmark_names()
-    figure = PerBenchmarkFigure(
-        title=f"Figure 8: IPC at a {format_budget(budget_bytes)} budget",
-        benchmarks=benchmarks,
-        mean_label="harm.mean",
-    )
-    with obs.span("figure8.sweep", budget=budget_bytes):
-        cells = ipc_sweep(
-            FIGURE8_FAMILIES,
-            [budget_bytes],
-            mode="overriding",
-            benchmarks=benchmarks,
-            instructions=instructions,
-            jobs=jobs,
-        )
-    for cell in cells:
-        figure.series.setdefault(cell.family, {})[cell.benchmark] = cell.ipc
-    for family, values in figure.series.items():
-        figure.means[family] = harmonic_mean(list(values.values()))
-    return figure
-
-
-# -- Extension: pipelined single-cycle families ---------------------------------
-
-
-def extension_pipelined_families(
-    budgets: list[int] | None = None,
-    instructions: int | None = None,
-    engine: str | None = None,
-    jobs: int | None = None,
-) -> SeriesFigure:
-    """The paper's future work, measured: gshare.fast vs bimode.fast.
-
-    Both deliver single-cycle predictions; bimode.fast adds Bi-Mode's bias
-    separation on top of the same prefetch-and-select pipeline.
-    """
-    budgets = budgets or LARGE_BUDGETS
-    with obs.span("extension.sweep", budgets=len(budgets)):
-        cells = accuracy_sweep(
-            EXTENSION_FAMILIES,
-            budgets,
-            instructions=instructions,
-            engine=engine,
-            jobs=jobs,
-        )
-    means = mean_by_family_budget(cells)
-    figure = SeriesFigure(
-        title="Extension: pipelined single-cycle families, mean misprediction (%)",
-        x_values=budgets,
-    )
-    for (family, budget), value in means.items():
-        figure.series.setdefault(family, {})[budget] = value
-    return figure
 
 
 # -- Section 3.2: delayed update ------------------------------------------------
@@ -465,3 +225,20 @@ def override_disagreement(
     18.1%)."""
     rates = override_statistics(family, budget_bytes)
     return OverrideDisagreement(family=family, budget_bytes=budget_bytes, per_benchmark=rates)
+
+
+def _override_both() -> str:
+    """Section 4.5 for the two complex predictors it reports."""
+    return "\n\n".join(
+        override_disagreement(family).render()
+        for family in ("perceptron", "multicomponent")
+    )
+
+
+#: The grid-less targets, by config target name (``runner`` mode).
+RUNNERS = {
+    "table1": table1,
+    "table2": table2,
+    "delayed-update": lambda: delayed_update_study().render(),
+    "override": _override_both,
+}

@@ -49,9 +49,8 @@ from repro.uarch.policies import FetchPolicy, OverridingPolicy, SingleCyclePolic
 from repro.uarch.simulator import CycleSimulator, SimulationResult
 from repro.workloads.spec2000 import get_profile, spec2000_trace
 
-#: The paper's power-of-two budget ladder (bytes).
-FULL_BUDGETS = [2**k * 1024 for k in range(1, 10)]  # 2KB .. 512KB
-LARGE_BUDGETS = [2**k * 1024 for k in range(4, 10)]  # 16KB .. 512KB
+#: IPC fetch-policy modes (see :func:`make_policy`).
+POLICY_MODES = ("ideal", "overriding")
 
 
 def _resolve_parallel(
@@ -251,20 +250,20 @@ def make_policy(
     ``predictor`` lets callers that already built the predictor (e.g. from
     a serialized spec) skip the registry build.
     """
+    if mode not in POLICY_MODES:
+        raise ValueError(f"unknown policy mode {mode!r}")
     spec = registry.get_spec(family)
     if predictor is None:
         predictor = registry.build(family, budget_bytes)
     if spec.single_cycle or mode == "ideal":
         return SingleCyclePolicy(predictor)
-    if mode == "overriding":
-        if not spec.override_eligible:
-            raise ConfigurationError(
-                f"family {family!r} is not override-eligible "
-                f"(no latency model registers it as a slow predictor)"
-            )
-        latency = predictor_latency(family, budget_bytes)
-        return OverridingPolicy(OverridingPredictor(predictor, slow_latency=latency))
-    raise ValueError(f"unknown policy mode {mode!r}")
+    if not spec.override_eligible:
+        raise ConfigurationError(
+            f"family {family!r} is not override-eligible "
+            f"(no latency model registers it as a slow predictor)"
+        )
+    latency = predictor_latency(family, budget_bytes)
+    return OverridingPolicy(OverridingPredictor(predictor, slow_latency=latency))
 
 
 @dataclass(frozen=True)

@@ -296,14 +296,13 @@ def _concrete_predictor_types() -> list[type[BranchPredictor]]:
 def completeness_problems() -> list[str]:
     """Gaps between the registry and the rest of the pipeline.
 
-    Returns one human-readable line per problem (empty == complete):
-
-    * a concrete ``repro.*`` BranchPredictor subclass that is neither
-      registered nor exempted in :data:`NON_FAMILY_PREDICTORS` — such a
-      predictor would silently dodge the registry-parametrized conformance
-      matrix, fuzz suites, and serialization tests;
-    * a golden figure family list naming a family the registry does not
-      know — the figure would crash (or worse, drift) at regeneration time.
+    Returns one human-readable line per problem (empty == complete): a
+    concrete ``repro.*`` BranchPredictor subclass that is neither registered
+    nor exempted in :data:`NON_FAMILY_PREDICTORS` — such a predictor would
+    silently dodge the registry-parametrized conformance matrix, fuzz
+    suites, and serialization tests.  (That the figure configs name only
+    registered families is checked where they load, by
+    :func:`repro.harness.figconfig.load_configs`.)
 
     Conformance coverage itself is structural: the conformance matrix and
     fuzz suites parametrize directly over :func:`family_names`, so a
@@ -320,20 +319,4 @@ def completeness_problems() -> list[str]:
             f"but no FamilySpec registers it (add one, or add it to "
             f"registry.NON_FAMILY_PREDICTORS with a reason)"
         )
-    figures = importlib.import_module("repro.harness.figures")
-    known = set(_SPECS)
-    for list_name in (
-        "FIGURE1_FAMILIES",
-        "FIGURE5_FAMILIES",
-        "FIGURE6_FAMILIES",
-        "FIGURE7_FAMILIES",
-        "FIGURE8_FAMILIES",
-        "EXTENSION_FAMILIES",
-    ):
-        for family in getattr(figures, list_name):
-            if family not in known:
-                problems.append(
-                    f"figures.{list_name} references {family!r}, which is not "
-                    f"a registered predictor family"
-                )
     return problems

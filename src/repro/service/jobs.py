@@ -60,8 +60,9 @@ JOB_STATES = ("queued", "running", "partial", "failed", "completed")
 TERMINAL_STATES = ("completed",)
 
 #: Config modes a submission may use (``inferred`` needs its base configs
-#: loaded alongside it, which a single-document submission cannot supply).
-SUBMITTABLE_MODES = ("runner", "sweep")
+#: loaded alongside it, which a single-document submission cannot supply,
+#: and a ``runner`` target declares no grid to plan).
+SUBMITTABLE_MODES = ("sweep",)
 
 
 class JobError(ReproError):
@@ -416,14 +417,13 @@ class JobStore:
         store active, so a drained campaign renders with zero predictor
         builds; the returned digests are recorded in ``status.json``.
         """
-        from repro.harness.cli import RUNNERS
         from repro.harness.figconfig import run_target
         from repro.obs.manifest import build_manifest
 
         config = self.config(job_id)
         started = time.perf_counter()
         with obs.span("service.render", job=job_id, target=config.name):
-            text = run_target(config, RUNNERS)
+            text = run_target(config)
         duration = time.perf_counter() - started
         figure_digest = self.blobs.save(text.encode("utf-8"))
         manifest = build_manifest(config.name, text, duration)

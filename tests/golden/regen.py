@@ -13,11 +13,12 @@ Fixtures:
 * ``table2.txt`` — the rendered Table 2 (predictor access latencies).  Pure
   function of the SRAM delay model; any drift is a real behaviour change.
 * ``figure1_small.txt`` — a small, fixed-configuration Figure 1 run (two
-  benchmarks, two budgets, 30k instructions).  Pins the full accuracy
+  benchmarks, two of ``configs/figure1.json``'s budgets, 30k instructions).  Pins the full accuracy
   pipeline: workload generation, warmup policy, every Figure 1 predictor
   family, aggregation and rendering.
 * ``figure2.txt`` .. ``figure8.txt``, ``extension.txt`` — every other grid
-  figure exactly as ``repro-figures <name>`` prints it, at the smallest
+  figure exactly as ``repro-figures <name>`` prints it from
+  ``configs/<name>.json``, at the smallest
   scale (``REPRO_SCALE=0.02`` on gzip and eon).  One temporary result store
   is shared across them, so Figures 2 and 8 resolve from Figure 7's cells.
 
@@ -101,19 +102,15 @@ def regen_branch_stream() -> None:
 
 
 def regen_table2() -> None:
-    from repro.harness.figures import table2
-
-    (GOLDEN_DIR / "table2.txt").write_text(table2() + "\n")
+    (GOLDEN_DIR / "table2.txt").write_text(render_target("table2") + "\n")
     print("table2.txt (pure delay model; no engine or seed)")
 
 
 def regen_figure1_small() -> None:
     os.environ["REPRO_BENCHMARKS"] = FIGURE1_BENCHMARKS
     from repro.harness.experiment import default_engine
-    from repro.harness.figures import figure1
 
-    figure = figure1(budgets=FIGURE1_BUDGETS, instructions=FIGURE1_INSTRUCTIONS)
-    (GOLDEN_DIR / "figure1_small.txt").write_text(figure.render() + "\n")
+    (GOLDEN_DIR / "figure1_small.txt").write_text(render_figure1_small() + "\n")
     print(
         f"figure1_small.txt (engine={default_engine()}, "
         f"benchmarks={FIGURE1_BENCHMARKS}, default trace seeds)"
@@ -137,9 +134,21 @@ def scoped_env(**values: str):
 
 def render_target(name: str) -> str:
     """The text ``repro-figures <name>`` prints for one target."""
-    from repro.harness.cli import RUNNERS
+    from repro.harness.figconfig import builtin_config, run_target
 
-    return RUNNERS[name]()
+    return run_target(builtin_config(name))
+
+
+def render_figure1_small() -> str:
+    """``configs/figure1.json`` thinned to the fixture's budgets and length."""
+    from repro.harness.figconfig import builtin_config, figure_panels
+
+    (figure,) = figure_panels(
+        builtin_config("figure1"),
+        budgets=FIGURE1_BUDGETS,
+        instructions=FIGURE1_INSTRUCTIONS,
+    )
+    return figure.render()
 
 
 def regen_grid_figures() -> None:

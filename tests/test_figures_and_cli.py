@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from repro.harness import figures
-from repro.harness.cli import RUNNERS, main
+from repro.harness.cli import TARGETS, main
+from repro.harness.figconfig import CONFIG_DIR, builtin_config, figure_panels
 
 #: The shipped declarative target configs (consumed by --config).
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -25,35 +26,40 @@ def tiny_scale(monkeypatch):
 SMALL_BUDGETS = [8 * 1024, 64 * 1024]
 
 
+def panels(name: str, **kwargs) -> list:
+    """The figure panels of the shipped ``configs/<name>.json``."""
+    return figure_panels(builtin_config(name), **kwargs)
+
+
 class TestFigures:
     def test_figure1(self):
-        figure = figures.figure1(budgets=SMALL_BUDGETS)
-        assert set(figure.series) == set(figures.FIGURE1_FAMILIES)
+        (figure,) = panels("figure1", budgets=SMALL_BUDGETS)
+        assert set(figure.series) == set(builtin_config("figure1").grids[0].families)
         for family in figure.series:
             assert set(figure.series[family]) == set(SMALL_BUDGETS)
         text = figure.render()
         assert "Figure 1" in text and "64K" in text
 
     def test_figure5(self):
-        figure = figures.figure5(budgets=SMALL_BUDGETS)
+        (figure,) = panels("figure5", budgets=[16 * 1024, 64 * 1024])
         assert "gshare_fast" in figure.series
         assert all(0 <= v < 100 for values in figure.series.values() for v in values.values())
 
     def test_figure6(self):
-        figure = figures.figure6(budget_bytes=64 * 1024)
+        (figure,) = panels("figure6")
         assert figure.benchmarks == ["gzip", "eon"]
         assert "perceptron" in figure.series
         assert figure.means["perceptron"] > 0
         assert "arith.mean" in figure.render()
 
     def test_figure2(self):
-        figure = figures.figure2(budgets=[16 * 1024])
+        (figure,) = panels("figure2", budgets=[16 * 1024])
         labels = set(figure.series)
         assert any("(no delay)" in label for label in labels)
         assert any("(overriding)" in label for label in labels)
 
     def test_figure7_two_panels(self):
-        left, right = figures.figure7(budgets=[16 * 1024])
+        left, right = panels("figure7", budgets=[16 * 1024])
         assert "ideal" in left.title
         assert "overriding" in right.title
         for panel in (left, right):
@@ -63,9 +69,15 @@ class TestFigures:
                     assert 0 < ipc < 8
 
     def test_figure8(self):
-        figure = figures.figure8(budget_bytes=16 * 1024)
+        (figure,) = panels("figure8")
         assert figure.mean_label == "harm.mean"
         assert set(figure.series) == {"multicomponent", "perceptron", "gshare_fast"}
+
+    def test_budgets_must_come_from_the_config_ladder(self):
+        from repro.common.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="not on the declared ladder"):
+            panels("figure5", budgets=[8 * 1024])
 
     def test_table1_contents(self):
         text = figures.table1()
@@ -89,7 +101,7 @@ class TestFigures:
         assert "update delay" in result.render()
 
     def test_extension_pipelined_families(self):
-        figure = figures.extension_pipelined_families(budgets=[16 * 1024])
+        (figure,) = panels("extension", budgets=[16 * 1024])
         assert set(figure.series) == {"gshare_fast", "bimode_fast"}
         assert (
             figure.series["bimode_fast"][16 * 1024]
@@ -118,7 +130,14 @@ class TestCli:
             "override",
             "extension",
         }
-        assert set(RUNNERS) == expected
+        assert set(TARGETS) == expected
+        # Every positional target is a shipped config; only the four
+        # grid-less ones are Python runners.
+        modes = {name: builtin_config(name).mode for name in TARGETS}
+        assert {name for name, mode in modes.items() if mode == "runner"} == set(
+            figures.RUNNERS
+        ) == {"table1", "table2", "delayed-update", "override"}
+        assert CONFIG_DIR == CONFIGS
 
     def test_cli_runs_tables(self, capsys):
         assert main(["table1", "table2"]) == 0
@@ -315,7 +334,7 @@ class TestConfigTargets:
         assert main(args) == 0
         rows = parse_dry_run(capsys.readouterr().out)
         figure1 = rows["figure1"]
-        assert figure1["mode"] == "runner"
+        assert figure1["mode"] == "sweep"
         assert figure1["cells"] == self.FIGURE1_CELLS
         assert figure1["hit"] == self.FIGURE1_CELLS and figure1["miss"] == 0
         assert figure1["inferred"] is False
@@ -396,3 +415,84 @@ class TestConfigTargets:
     def test_dry_run_requires_config(self):
         with pytest.raises(SystemExit):
             main(["--dry-run"])
+
+
+def grid_doc(**grid) -> dict:
+    """A one-grid sweep config document with ``grid``'s fields overridden."""
+    base = {"kind": "accuracy", "families": ["gshare"], "budgets": [2048]}
+    return {
+        "schema": 1,
+        "target": "probe",
+        "mode": "sweep",
+        "title": "Probe",
+        "grids": [{**base, **grid}],
+    }
+
+
+class TestConfigValidation:
+    """parse_config (also the service's wire-input parser) refuses bad input
+    up front instead of producing wrong or late failures."""
+
+    def refused(self, doc: dict, match: str) -> None:
+        from repro.common.errors import ConfigurationError
+        from repro.harness.figconfig import parse_config
+
+        with pytest.raises(ConfigurationError, match=match):
+            parse_config(doc)
+
+    def test_unknown_ipc_mode_refused(self):
+        self.refused(
+            grid_doc(kind="ipc", families=["gshare_fast"], modes=["idael"]),
+            "unknown ipc modes",
+        )
+
+    def test_boolean_budget_refused(self):
+        self.refused(grid_doc(budgets=[True]), "positive integers")
+
+    def test_unknown_benchmark_refused(self):
+        self.refused(grid_doc(benchmarks=["gcc", "nosuchbench"]), "nosuchbench")
+
+    def test_unknown_fields_refused(self):
+        doc = grid_doc()
+        doc["runner"] = "figure1"
+        self.refused(doc, "unknown top-level field")
+        self.refused(grid_doc(budget=[2048]), "unknown grid field")
+
+    def test_runner_mode_is_for_gridless_targets_only(self):
+        self.refused({"schema": 1, "target": "figure1", "mode": "runner"}, "grid-less")
+        self.refused(
+            {"schema": 1, "target": "table1", "mode": "runner", "grids": []},
+            "runner mode takes no",
+        )
+
+    def test_panel_titles_need_one_per_mode(self):
+        doc = grid_doc(kind="ipc", families=["gshare_fast"], modes=["ideal", "overriding"])
+        doc["title"] = ["only one"]
+        self.refused(doc, "panel titles")
+        accuracy = grid_doc()
+        accuracy["title"] = ["a"]
+        self.refused(accuracy, "'title'")
+
+    def test_per_benchmark_needs_one_budget(self):
+        doc = grid_doc(budgets=[2048, 4096])
+        doc["renderer"] = "per_benchmark"
+        self.refused(doc, "exactly one budget")
+
+    def test_unregistered_family_refused_at_load(self, tmp_path):
+        from repro.common.errors import ConfigurationError
+        from repro.harness.figconfig import load_configs
+
+        path = tmp_path / "ghost.json"
+        path.write_text(json.dumps(grid_doc(families=["gshare", "ghost_family"])))
+        with pytest.raises(ConfigurationError, match="ghost_family"):
+            load_configs([str(path)])
+        with pytest.raises(SystemExit):
+            main(["--config", str(path), "--dry-run"])
+
+    def test_shipped_configs_all_load(self):
+        """configs/ is one consistent set: every family registered, every
+        inferred target covered."""
+        from repro.harness.figconfig import load_configs
+
+        names = {config.name for config in load_configs([str(CONFIGS)])}
+        assert set(TARGETS) <= names

@@ -15,15 +15,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness import figures
 from repro.harness.cli import main
+from repro.harness.figconfig import CONFIG_DIR, builtin_config, run_target
 from tests.golden.regen import (
     FIGURE1_BENCHMARKS,
-    FIGURE1_BUDGETS,
-    FIGURE1_INSTRUCTIONS,
+    GRID_BENCHMARKS,
+    GRID_FIGURES,
+    GRID_SCALE,
     STREAM_BENCHMARK,
     STREAM_INSTRUCTIONS,
     STREAM_SEED,
+    render_figure1_small,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -34,7 +36,7 @@ def read_fixture(name: str) -> str:
 
 
 def test_table2_matches_golden():
-    assert figures.table2() + "\n" == read_fixture("table2.txt")
+    assert run_target(builtin_config("table2")) + "\n" == read_fixture("table2.txt")
 
 
 def test_table2_cli_matches_golden(capsys):
@@ -45,10 +47,27 @@ def test_table2_cli_matches_golden(capsys):
 
 def test_figure1_small_matches_golden(monkeypatch):
     monkeypatch.setenv("REPRO_BENCHMARKS", FIGURE1_BENCHMARKS)
-    figure = figures.figure1(
-        budgets=FIGURE1_BUDGETS, instructions=FIGURE1_INSTRUCTIONS
-    )
-    assert figure.render() + "\n" == read_fixture("figure1_small.txt")
+    assert render_figure1_small() + "\n" == read_fixture("figure1_small.txt")
+
+
+@pytest.fixture(scope="module")
+def grid_result_store(tmp_path_factory):
+    """One result store shared by the grid-figure goldens, as when the
+    fixtures were generated (Figures 2 and 8 resolve from Figure 7's cells)."""
+    return str(tmp_path_factory.mktemp("grid-results"))
+
+
+@pytest.mark.parametrize("via", ["config", "positional"])
+@pytest.mark.parametrize("name", GRID_FIGURES)
+def test_grid_figure_matches_golden(name, via, grid_result_store, monkeypatch, capsys):
+    """Every grid figure's ``configs/<name>.json`` prints its fixture byte
+    for byte, through ``--config`` and through the positional name."""
+    monkeypatch.setenv("REPRO_SCALE", GRID_SCALE)
+    monkeypatch.setenv("REPRO_BENCHMARKS", GRID_BENCHMARKS)
+    monkeypatch.setenv("REPRO_RESULT_STORE", grid_result_store)
+    argv = ["--config", str(CONFIG_DIR / f"{name}.json")] if via == "config" else [name]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == read_fixture(f"{name}.txt") + "\n"
 
 
 def test_golden_branch_stream_matches_workload():

@@ -12,8 +12,6 @@ from repro.harness.experiment import measure_accuracy, measure_override
 from repro.harness.report import format_budget, render_series_table, render_table
 from repro.harness.scale import benchmark_names, scale_factor, warmup_branches
 from repro.harness.sweep import (
-    FULL_BUDGETS,
-    LARGE_BUDGETS,
     accuracy_sweep,
     build_family,
     hmean_ipc_by_family_budget,
@@ -175,9 +173,13 @@ class TestScale:
 
 class TestSweeps:
     def test_budget_ladders(self):
-        assert FULL_BUDGETS[0] == 2 * 1024
-        assert FULL_BUDGETS[-1] == 512 * 1024
-        assert LARGE_BUDGETS[0] == 16 * 1024
+        """The paper's ladders, as the figure configs declare them."""
+        from repro.harness.figconfig import builtin_config
+
+        full = builtin_config("figure1").grids[0].budgets
+        large = builtin_config("figure5").grids[0].budgets
+        assert full == tuple(2**k * 1024 for k in range(1, 10))  # 2KB .. 512KB
+        assert large == tuple(2**k * 1024 for k in range(4, 10))  # 16KB .. 512KB
 
     def test_build_family_includes_gshare_fast(self):
         predictor = build_family("gshare_fast", 16 * 1024)
@@ -196,6 +198,10 @@ class TestSweeps:
         assert "override" in make_policy("perceptron", 16 * 1024, "overriding").name
         with pytest.raises(ValueError):
             make_policy("perceptron", 16 * 1024, "telepathy")
+        # Single-cycle families take either mode, but a misspelled one is
+        # still refused rather than silently simulated as "ideal".
+        with pytest.raises(ValueError, match="idael"):
+            make_policy("gshare_fast", 64 * 1024, "idael")
 
     def test_ipc_sweep_shape(self):
         cells = ipc_sweep(

@@ -82,7 +82,7 @@ class TestRenderClassification:
             [
                 {
                     "target": "figure1",
-                    "mode": "runner",
+                    "mode": "sweep",
                     "cells": 72,
                     "counts": {"completed": 70, "missing": 2},
                     "inferred": False,
@@ -96,7 +96,7 @@ class TestRenderClassification:
             "partial", "missing", "inferred", "based", "on",
         ]
         row = lines[4].split()
-        assert row == ["figure1", "runner", "72", "70", "0", "0", "0", "2", "no", "-"]
+        assert row == ["figure1", "sweep", "72", "70", "0", "0", "0", "2", "no", "-"]
 
     def test_campaign_row_defaults_and_based_on(self):
         """Campaign rows omit inferred/based_on; inferred targets list

@@ -389,7 +389,6 @@ class TestGracefulDrain:
         assert code == 200 and status["state"] == "completed"
         served, _ = app.jobs.figure_bytes(job_id)
 
-        from repro.harness.cli import RUNNERS
         from repro.harness.figconfig import parse_config, run_target
 
-        assert served.decode() == run_target(parse_config(spec), RUNNERS)
+        assert served.decode() == run_target(parse_config(spec))

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.cli import RUNNERS
 from repro.harness.figconfig import parse_config, run_target
 from repro.predictors.registry import build_count
 from tests.service_helpers import (
@@ -45,7 +44,7 @@ def env(monkeypatch, tmp_path, trace_store):
 
 def reference_bytes(spec: dict) -> bytes:
     """What a clean in-process render of ``spec`` produces."""
-    return run_target(parse_config(spec), RUNNERS).encode()
+    return run_target(parse_config(spec)).encode()
 
 
 class TestWorkerDeath:

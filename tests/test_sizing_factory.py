@@ -7,7 +7,7 @@ import pytest
 from repro.common.errors import BudgetError, ConfigurationError
 from repro.core.gshare_fast import build_gshare_fast
 from repro.predictors import registry
-from repro.predictors.factory import build_predictor, predictor_families
+from repro.predictors.factory import build_predictor
 from repro.predictors.sizing import (
     GSHARE_MAX_HISTORY,
     floor_pow2,
@@ -128,11 +128,15 @@ class TestFactory:
             assert expected in families
 
     def test_deprecated_families_shim(self):
-        """predictor_families() warns, and now reports the *full* registry
-        list — historically it omitted the repro.core families."""
-        with pytest.warns(DeprecationWarning):
-            families = predictor_families()
-        assert families == registry.family_names()
+        """The deprecated predictor_families() shim is gone: the registry's
+        family_names() is the one list, and it includes the repro.core
+        families the shim once omitted."""
+        import repro
+        from repro.predictors import factory
+
+        assert not hasattr(factory, "predictor_families")
+        assert "predictor_families" not in repro.__all__
+        families = registry.family_names()
         assert "gshare_fast" in families
         assert "bimode_fast" in families
 
