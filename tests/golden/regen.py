@@ -21,6 +21,11 @@ Fixtures:
   ``configs/<name>.json``, at the smallest
   scale (``REPRO_SCALE=0.02`` on gzip and eon).  One temporary result store
   is shared across them, so Figures 2 and 8 resolve from Figure 7's cells.
+* ``simulator_results.json`` — every ``SimulationResult`` field (cycles,
+  instructions, branches, mispredictions, overrides and the six stall
+  causes) of the cycle simulator over a matrix of profiles x fetch
+  policies x machine configurations, each run on both trace
+  representations (``Trace`` blocks and the store's ``ColumnarTrace``).
 
 Regenerating is the *intentional* way to accept a behaviour change: rerun
 this script, eyeball the diff, and commit the new fixtures with the change
@@ -55,6 +60,26 @@ FIGURE1_INSTRUCTIONS = 30_000
 GRID_FIGURES = ["figure7", "figure2", "figure8", "figure5", "figure6", "extension"]
 GRID_SCALE = "0.02"
 GRID_BENCHMARKS = "gzip,eon"
+
+#: Cycle-simulator fixture matrix: profiles, fetch policies, machines.  The
+#: machines keep the default cache geometry (geometry has its own tests).
+SIM_BENCHMARKS = ["gcc", "mcf", "eon"]
+SIM_INSTRUCTIONS = 20_000
+SIM_BUDGET = 16 * 1024
+SIM_POLICIES = [
+    "gshare_fast-1cyc",
+    "perceptron-ideal",
+    "multicomponent-overriding",
+    "gshare-dualpath",
+    "perceptron-cascading",
+]
+SIM_MACHINES = {
+    "paper": {},
+    "blocks2": {"blocks_per_cycle": 2},
+    "slow-memory": {"l2_hit_cycles": 20, "memory_cycles": 350},
+    "depth30": {"pipeline_depth": 30},
+}
+SIM_REPRESENTATIONS = ["trace", "columnar"]
 
 #: The recorded stream: benchmark, seed, trace length and branch count.
 STREAM_BENCHMARK = "gcc"
@@ -168,6 +193,81 @@ def regen_grid_figures() -> None:
         )
 
 
+def sim_policy(name: str):
+    """A fresh fetch policy for one ``SIM_POLICIES`` entry."""
+    from repro.core.cascading import CascadingPredictor
+    from repro.core.dualpath import DualPathPolicy
+    from repro.harness.sweep import build_family, make_policy
+    from repro.timing.latency import predictor_latency
+    from repro.uarch.policies import CascadingFetchPolicy, DualPathFetchPolicy
+
+    family, mode = name.split("-")
+    if mode == "dualpath":
+        latency = predictor_latency(family, SIM_BUDGET)
+        return DualPathFetchPolicy(DualPathPolicy(build_family(family, SIM_BUDGET), latency))
+    if mode == "cascading":
+        latency = predictor_latency(family, SIM_BUDGET)
+        return CascadingFetchPolicy(
+            CascadingPredictor(build_family(family, SIM_BUDGET), slow_latency=latency)
+        )
+    return make_policy(family, SIM_BUDGET, "ideal" if mode == "1cyc" else mode)
+
+
+def sim_traces(benchmark: str) -> dict:
+    """The benchmark's fixture trace in each representation (fresh objects,
+    never shared with the in-process trace cache)."""
+    from repro.workloads.spec2000 import spec2000_trace
+    from repro.workloads.store import ColumnarTrace
+    from repro.workloads.trace import Trace
+
+    cached = spec2000_trace(benchmark, instructions=SIM_INSTRUCTIONS)
+    blocks = list(cached.blocks)
+    return {
+        "trace": Trace(name=cached.name, blocks=blocks),
+        "columnar": ColumnarTrace.from_trace(Trace(name=cached.name, blocks=blocks)),
+    }
+
+
+def simulator_results(benchmark: str) -> dict:
+    """Every fixture cell of one benchmark: ``policy/machine/representation``
+    -> the ``SimulationResult`` as a dict."""
+    from dataclasses import asdict
+
+    from repro.uarch.config import MachineConfig
+    from repro.uarch.simulator import CycleSimulator
+    from repro.workloads.spec2000 import get_profile
+
+    traces = sim_traces(benchmark)
+    ilp = get_profile(benchmark).ilp
+    results = {}
+    for policy in SIM_POLICIES:
+        for machine, overrides in SIM_MACHINES.items():
+            for representation in SIM_REPRESENTATIONS:
+                simulator = CycleSimulator(
+                    sim_policy(policy), config=MachineConfig(**overrides), ilp=ilp
+                )
+                result = simulator.run(traces[representation])
+                results[f"{policy}/{machine}/{representation}"] = asdict(result)
+    return results
+
+
+def regen_simulator_results() -> None:
+    import json
+
+    fixture = {
+        "instructions": SIM_INSTRUCTIONS,
+        "budget_bytes": SIM_BUDGET,
+        "results": {name: simulator_results(name) for name in SIM_BENCHMARKS},
+    }
+    (GOLDEN_DIR / "simulator_results.json").write_text(
+        json.dumps(fixture, indent=1, sort_keys=True) + "\n"
+    )
+    print(
+        f"simulator_results.json (benchmarks={','.join(SIM_BENCHMARKS)}, "
+        f"instructions={SIM_INSTRUCTIONS}, default trace seeds)"
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -190,6 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     regen_table2()
     regen_figure1_small()
     regen_grid_figures()
+    regen_simulator_results()
     return 0
 
 

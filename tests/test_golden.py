@@ -22,10 +22,12 @@ from tests.golden.regen import (
     GRID_BENCHMARKS,
     GRID_FIGURES,
     GRID_SCALE,
+    SIM_BENCHMARKS,
     STREAM_BENCHMARK,
     STREAM_INSTRUCTIONS,
     STREAM_SEED,
     render_figure1_small,
+    simulator_results,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -70,6 +72,16 @@ def test_grid_figure_matches_golden(name, via, grid_result_store, monkeypatch, c
     assert capsys.readouterr().out == read_fixture(f"{name}.txt") + "\n"
 
 
+@pytest.mark.parametrize("profile", SIM_BENCHMARKS)
+def test_simulator_results_match_golden(profile):
+    """Every ``SimulationResult`` field, bit for bit, across fetch policies,
+    machines and both trace representations."""
+    import json
+
+    fixture = json.loads(read_fixture("simulator_results.json"))
+    assert simulator_results(profile) == fixture["results"][profile]
+
+
 def test_golden_branch_stream_matches_workload():
     """The recorded stream is reproducible from the generator at its pinned
     seed — i.e. the workload layer hasn't drifted under the fixture."""
@@ -97,6 +109,7 @@ def test_regen_refuses_dirty_tree(monkeypatch, capsys):
         "regen_table2",
         "regen_figure1_small",
         "regen_grid_figures",
+        "regen_simulator_results",
     ):
         monkeypatch.setattr(regen, name, lambda name=name: calls.append(name))
     monkeypatch.setattr(regen, "dirty_files", lambda: [" M src/thing.py"])
@@ -108,7 +121,7 @@ def test_regen_refuses_dirty_tree(monkeypatch, capsys):
     assert regen.main(["--force"]) == 0
     monkeypatch.setattr(regen, "dirty_files", lambda: [])
     assert regen.main([]) == 0
-    assert len(calls) == 8
+    assert len(calls) == 10
 
 
 def test_regen_prints_engine_and_seed(monkeypatch, capsys, tmp_path):
@@ -117,10 +130,11 @@ def test_regen_prints_engine_and_seed(monkeypatch, capsys, tmp_path):
 
     monkeypatch.setattr(regen, "GOLDEN_DIR", tmp_path)
     monkeypatch.setattr(regen, "dirty_files", lambda: [])
-    # The grid figures are pinned by their own golden tests; regenerating
-    # all six here would only repeat that work.
+    # The grid figures and the simulator results are pinned by their own
+    # golden tests; regenerating them here would only repeat that work.
     grid_calls = []
     monkeypatch.setattr(regen, "regen_grid_figures", lambda: grid_calls.append(1))
+    monkeypatch.setattr(regen, "regen_simulator_results", lambda: grid_calls.append(2))
     # regen_figure1_small writes REPRO_BENCHMARKS into os.environ;
     # registering it here makes monkeypatch restore the original value.
     monkeypatch.setenv("REPRO_BENCHMARKS", FIGURE1_BENCHMARKS)
@@ -131,4 +145,4 @@ def test_regen_prints_engine_and_seed(monkeypatch, capsys, tmp_path):
     assert (tmp_path / "branch_stream.csv").exists()
     assert (tmp_path / "table2.txt").exists()
     assert (tmp_path / "figure1_small.txt").exists()
-    assert grid_calls == [1]
+    assert grid_calls == [1, 2]
