@@ -221,34 +221,18 @@ def _compute_shard_payload(shard: Shard, cfg: dict, spec_payload: dict | None) -
         )
         return {"misprediction_percent": result.misprediction_percent}
     if shard.kind == "ipc":
-        from repro.harness.sweep import make_policy
+        from repro.harness.sweep import ipc_payload
         from repro.uarch.config import MachineConfig
-        from repro.uarch.simulator import CycleSimulator
-        from repro.workloads.spec2000 import get_profile
 
-        trace = spec2000_trace(shard.benchmark, instructions=cfg["instructions"])
-        policy = make_policy(
+        return ipc_payload(
+            shard.benchmark,
             shard.family,
             shard.budget_bytes,
             shard.mode,
+            MachineConfig(**cfg["machine"]),
+            spec2000_trace(shard.benchmark, instructions=cfg["instructions"]),
             predictor=_build_shard_predictor(shard, spec_payload),
         )
-        simulator = CycleSimulator(
-            policy,
-            config=MachineConfig(**cfg["machine"]),
-            ilp=get_profile(shard.benchmark).ilp,
-        )
-        result = simulator.run(trace)
-        override_rate = (
-            result.overrides / result.conditional_branches
-            if result.conditional_branches
-            else 0.0
-        )
-        return {
-            "ipc": result.ipc,
-            "misprediction_percent": 100.0 * result.misprediction_rate,
-            "override_rate": override_rate,
-        }
     raise ConfigurationError(f"unknown shard kind {shard.kind!r}")
 
 
@@ -875,14 +859,8 @@ def parallel_ipc_sweep(
         label=f"ipc_sweep.{mode}",
     )
     return [
-        IpcCell(
-            benchmark=o.shard.benchmark,
-            family=o.shard.family,
-            mode=o.shard.mode,
-            budget_bytes=o.shard.budget_bytes,
-            ipc=o.payload["ipc"],
-            misprediction_percent=o.payload["misprediction_percent"],
-            override_rate=o.payload["override_rate"],
+        IpcCell.from_payload(
+            o.shard.benchmark, o.shard.family, o.shard.mode, o.shard.budget_bytes, o.payload
         )
         for o in outcomes
     ]

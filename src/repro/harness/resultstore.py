@@ -55,8 +55,9 @@ from repro.common.atomic import atomic_path, stale_tmp_siblings
 from repro.common.errors import ConfigurationError, ReproError
 
 #: Bumped when the entry layout or key recipe changes; part of every key,
-#: so old entries stop matching instead of being misread.
-RESULT_SCHEMA = 1
+#: so old entries stop matching instead of being misread.  2: IPC payloads
+#: carry the cell's stall breakdown.
+RESULT_SCHEMA = 2
 
 #: Bumped whenever the *measurement semantics* change — a predictor update
 #: rule fix, an engine change that alters results, a new warm-up policy.

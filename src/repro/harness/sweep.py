@@ -46,7 +46,7 @@ from repro.predictors.base import BranchPredictor
 from repro.timing.latency import predictor_latency
 from repro.uarch.config import PAPER_MACHINE, MachineConfig
 from repro.uarch.policies import FetchPolicy, OverridingPolicy, SingleCyclePolicy
-from repro.uarch.simulator import CycleSimulator, SimulationResult
+from repro.uarch.simulator import CycleSimulator, StallBreakdown
 from repro.workloads.spec2000 import get_profile, spec2000_trace
 
 #: IPC fetch-policy modes (see :func:`make_policy`).
@@ -277,6 +277,24 @@ class IpcCell:
     ipc: float
     misprediction_percent: float
     override_rate: float
+    #: cycles lost per cause (mispredicts, override bubbles, caches, BTB, RAS)
+    stalls: StallBreakdown
+
+    @classmethod
+    def from_payload(
+        cls, benchmark: str, family: str, mode: str, budget_bytes: int, payload: dict
+    ) -> "IpcCell":
+        """The cell a stored IPC payload (see :func:`ipc_payload`) describes."""
+        return cls(
+            benchmark=benchmark,
+            family=family,
+            mode=mode,
+            budget_bytes=budget_bytes,
+            ipc=payload["ipc"],
+            misprediction_percent=payload["misprediction_percent"],
+            override_rate=payload["override_rate"],
+            stalls=StallBreakdown(**payload["stalls"]),
+        )
 
 
 def ipc_sweep(
@@ -339,15 +357,7 @@ def ipc_sweep(
                             machine, config, loader,
                         )
                         cells.append(
-                            IpcCell(
-                                benchmark=benchmark,
-                                family=family,
-                                mode=mode,
-                                budget_bytes=budget,
-                                ipc=payload["ipc"],
-                                misprediction_percent=payload["misprediction_percent"],
-                                override_rate=payload["override_rate"],
-                            )
+                            IpcCell.from_payload(benchmark, family, mode, budget, payload)
                         )
         return cells
 
@@ -366,27 +376,40 @@ def _ipc_cell_payload(
     """One IPC cell through the result store (or simulated directly)."""
 
     def compute() -> dict:
-        policy = make_policy(family, budget, mode)
-        simulator = CycleSimulator(
-            policy, config=config, ilp=get_profile(benchmark).ilp
-        )
-        result: SimulationResult = simulator.run(loader.trace)
-        override_rate = (
-            result.overrides / result.conditional_branches
-            if result.conditional_branches
-            else 0.0
-        )
-        return {
-            "ipc": result.ipc,
-            "misprediction_percent": 100.0 * result.misprediction_rate,
-            "override_rate": override_rate,
-        }
+        return ipc_payload(benchmark, family, budget, mode, config, loader.trace)
 
     if store is None:
         return compute()
     key = ipc_result_key(benchmark, family, budget, mode, instructions, machine)
     cell = ResultCell("ipc", benchmark, family, budget, mode)
     return store.get_or_compute(key, cell, compute)
+
+
+def ipc_payload(
+    benchmark: str,
+    family: str,
+    budget: int,
+    mode: str,
+    config: MachineConfig,
+    trace,
+    predictor: BranchPredictor | None = None,
+) -> dict:
+    """Simulate one IPC cell: the payload the result store keeps for it —
+    IPC, misprediction %, override rate and the stall breakdown."""
+    policy = make_policy(family, budget, mode, predictor=predictor)
+    simulator = CycleSimulator(policy, config=config, ilp=get_profile(benchmark).ilp)
+    result = simulator.run(trace)
+    override_rate = (
+        result.overrides / result.conditional_branches
+        if result.conditional_branches
+        else 0.0
+    )
+    return {
+        "ipc": result.ipc,
+        "misprediction_percent": 100.0 * result.misprediction_rate,
+        "override_rate": override_rate,
+        "stalls": asdict(result.stalls),
+    }
 
 
 def hmean_ipc_by_family_budget(cells: list[IpcCell]) -> dict[tuple[str, int], float]:

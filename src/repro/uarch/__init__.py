@@ -1,7 +1,7 @@
 """Microarchitecture substrate: caches, BTB, fetch policies, cycle simulator."""
 
 from repro.uarch.btb import BranchTargetBuffer, ReturnAddressStack
-from repro.uarch.caches import Cache, CacheStats, MemoryHierarchy, paper_hierarchy
+from repro.uarch.caches import Cache, CacheStats, MemoryHierarchy, machine_hierarchy
 from repro.uarch.config import PAPER_MACHINE, MachineConfig
 from repro.uarch.policies import (
     CascadingFetchPolicy,
@@ -30,5 +30,5 @@ __all__ = [
     "SimulationResult",
     "SingleCyclePolicy",
     "StallBreakdown",
-    "paper_hierarchy",
+    "machine_hierarchy",
 ]

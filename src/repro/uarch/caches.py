@@ -3,7 +3,9 @@
 Table 1 of the paper fixes the hierarchy: 64KB direct-mapped L1 I- and
 D-caches with 64-byte lines, and a 2MB 4-way L2 with 128-byte lines.  The
 model tracks tags only (no data), with LRU replacement for the set-
-associative L2; latencies are charged by the simulator, not here.
+associative L2.  :func:`machine_hierarchy` builds the hierarchy a
+:class:`MachineConfig` describes; the stall cycles it returns are the
+config's L2 and memory latencies.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 from repro.common.bits import is_power_of_two, log2_exact
 from repro.common.errors import ConfigurationError
+from repro.uarch.config import PAPER_MACHINE, MachineConfig
 
 
 @dataclass
@@ -121,12 +124,14 @@ class MemoryHierarchy:
         return self.memory_cycles
 
 
-def paper_hierarchy(l2_hit_cycles: int = 12, memory_cycles: int = 200) -> MemoryHierarchy:
-    """The Table 1 configuration."""
+def machine_hierarchy(config: MachineConfig = PAPER_MACHINE) -> MemoryHierarchy:
+    """A cold hierarchy with ``config``'s cache geometry and latencies
+    (Table 1 by default): direct-mapped L1 I- and D-caches and a
+    set-associative shared L2."""
     return MemoryHierarchy(
-        l1i=Cache(64 * 1024, 64, ways=1),
-        l1d=Cache(64 * 1024, 64, ways=1),
-        l2=Cache(2 * 1024 * 1024, 128, ways=4),
-        l2_hit_cycles=l2_hit_cycles,
-        memory_cycles=memory_cycles,
+        l1i=Cache(config.l1_size, config.l1_line, ways=1),
+        l1d=Cache(config.l1_size, config.l1_line, ways=1),
+        l2=Cache(config.l2_size, config.l2_line, ways=config.l2_ways),
+        l2_hit_cycles=config.l2_hit_cycles,
+        memory_cycles=config.memory_cycles,
     )

@@ -9,9 +9,9 @@ cost a one-time expense per machine:
   columns (the exact columns :mod:`repro.workloads.io` serializes).  It is
   duck-type compatible with :class:`repro.workloads.trace.Trace` for every
   harness consumer: ``conditional_branches()`` / ``branch_arrays()`` feed
-  the scalar and batch accuracy engines straight off the columns, while
-  the cycle simulator's ``blocks`` view materializes lazily (and only when
-  a consumer actually fetches blocks).
+  the scalar and batch accuracy engines straight off the columns, the
+  cycle simulator reads the columns too, and a ``blocks`` view
+  materializes lazily (only when a consumer actually fetches blocks).
 * :class:`TraceStore` — a directory of ``<benchmark>__<digest>.npz``
   entries keyed by a content digest of (full workload profile,
   instruction budget, seed, format versions).  Editing any profile
@@ -126,9 +126,9 @@ def _count(key: str, n: int = 1) -> None:
 class ColumnarTrace:
     """A replayable trace held as numpy columns instead of ``Block`` objects.
 
-    Construction is cheap (arrays are adopted, not copied); the accuracy
-    paths never touch Python block objects, and the ``blocks`` view exists
-    only for consumers that genuinely need it (the cycle simulator).
+    Construction is cheap (arrays are adopted, not copied); neither the
+    accuracy paths nor the cycle simulator touch Python block objects, and
+    the ``blocks`` view exists only for :meth:`to_trace` and iteration.
     """
 
     def __init__(
@@ -189,7 +189,7 @@ class ColumnarTrace:
 
     @property
     def blocks(self) -> list[Block]:
-        """Lazily-materialized ``Block`` view (cycle-simulator consumers)."""
+        """Lazily-materialized ``Block`` view."""
         if self._blocks is None:
             self._blocks = blocks_from_columns(self.columns())
         return self._blocks

@@ -133,6 +133,32 @@ def test_ipc_sweep_parallel_matches_serial():
     assert ipc_sweep(**kwargs, jobs=1) == ipc_sweep(**kwargs, jobs=2)
 
 
+def test_ipc_stored_payloads_match_serial(tmp_path, monkeypatch):
+    """Serial and ``--jobs 2`` sweeps persist identical IPC payloads, stall
+    breakdown included, and every cell carries the stored breakdown."""
+    from dataclasses import astuple, fields
+
+    from repro.uarch.simulator import StallBreakdown
+
+    kwargs = dict(SWEEP_KWARGS, mode="overriding", families=["gshare", "perceptron"])
+    stored = {}
+    for jobs in (1, 2):
+        root = tmp_path / f"jobs{jobs}"
+        monkeypatch.setenv("REPRO_RESULT_STORE", str(root))
+        cells = ipc_sweep(**kwargs, jobs=jobs)
+        stored[jobs] = {
+            path.name: json.loads(path.read_text())["payload"] for path in root.glob("*.json")
+        }
+    assert stored[1] == stored[2]
+    assert len(stored[1]) == len(cells) == 4
+    stall_fields = {field.name for field in fields(StallBreakdown)}
+    assert all(set(payload["stalls"]) == stall_fields for payload in stored[1].values())
+    assert sorted(astuple(cell.stalls) for cell in cells) == sorted(
+        astuple(StallBreakdown(**payload["stalls"])) for payload in stored[1].values()
+    )
+    assert any(cell.stalls.override_bubble for cell in cells)
+
+
 def test_parallel_sweep_writes_run_manifest(tmp_path):
     run_dir = tmp_path / "run"
     cells = parallel_accuracy_sweep(

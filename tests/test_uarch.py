@@ -12,10 +12,11 @@ from repro.core.gshare_fast import build_gshare_fast
 from repro.core.overriding import OverridingPredictor
 from repro.predictors.gshare import GsharePredictor
 from repro.uarch.btb import BranchTargetBuffer, ReturnAddressStack
-from repro.uarch.caches import Cache, MemoryHierarchy, paper_hierarchy
+from repro.uarch.caches import Cache, MemoryHierarchy, machine_hierarchy
 from repro.uarch.config import PAPER_MACHINE, MachineConfig
 from repro.uarch.policies import DualPathFetchPolicy, OverridingPolicy, SingleCyclePolicy
-from repro.uarch.simulator import CycleSimulator
+from repro.uarch.simulator import CycleSimulator, memory_columns
+from repro.workloads.trace import Block, Trace
 
 
 class TestCache:
@@ -73,19 +74,41 @@ class TestCache:
 
 class TestHierarchy:
     def test_l1_hit_costs_nothing(self):
-        hierarchy = paper_hierarchy()
+        hierarchy = machine_hierarchy()
         hierarchy.access_data(0x1000)
         assert hierarchy.access_data(0x1000) == 0
 
     def test_l2_hit_cost(self):
-        hierarchy = paper_hierarchy(l2_hit_cycles=12)
+        hierarchy = machine_hierarchy(MachineConfig(l2_hit_cycles=12))
         hierarchy.access_data(0x1000)  # fills both levels
         hierarchy.access_data(0x1000 + 64 * 1024)  # evicts L1 line (same set)
         assert hierarchy.access_data(0x1000) == 12
 
     def test_memory_cost_on_cold_access(self):
-        hierarchy = paper_hierarchy(memory_cycles=200)
+        hierarchy = machine_hierarchy(MachineConfig(memory_cycles=200))
         assert hierarchy.access_data(0x5000) == 200
+
+    @staticmethod
+    def geometry(hierarchy):
+        return [
+            (cache.size_bytes, cache.line_bytes, cache.ways)
+            for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)
+        ] + [hierarchy.l2_hit_cycles, hierarchy.memory_cycles]
+
+    def test_default_machine_is_table1(self):
+        """Table 1 prints PAPER_MACHINE's cache fields; they are what the
+        simulator builds."""
+        table1 = [(64 * 1024, 64, 1), (64 * 1024, 64, 1), (2 * 1024 * 1024, 128, 4), 12, 200]
+        assert self.geometry(machine_hierarchy()) == table1
+
+    def test_machine_hierarchy_follows_config(self):
+        config = MachineConfig(
+            l1_size=1024, l1_line=32, l2_size=8192, l2_line=64, l2_ways=1,
+            l2_hit_cycles=9, memory_cycles=90,
+        )
+        assert self.geometry(machine_hierarchy(config)) == [
+            (1024, 32, 1), (1024, 32, 1), (8192, 64, 1), 9, 90
+        ]
 
 
 class TestBtb:
@@ -244,6 +267,51 @@ class TestSimulator:
     def test_ilp_validation(self):
         with pytest.raises(ConfigurationError):
             CycleSimulator(SingleCyclePolicy(GsharePredictor(1024)), ilp=0)
+
+    def test_small_caches_raise_stalls(self, small_trace):
+        """The simulator builds the hierarchy MachineConfig describes: a 1KB
+        L1 over an 8KB direct-mapped L2 must stall more than Table 1's."""
+        small = MachineConfig(l1_size=1024, l2_size=8 * 1024, l2_ways=1)
+        paper = self._run(SingleCyclePolicy(build_gshare_fast(16 * 1024)), small_trace)
+        tiny = self._run(
+            SingleCyclePolicy(build_gshare_fast(16 * 1024)), small_trace, config=small
+        )
+        assert tiny.stalls.icache > paper.stalls.icache
+        assert tiny.stalls.dcache > paper.stalls.dcache
+        assert tiny.cycles > paper.cycles
+
+    def test_line_crossing_uses_l1_line(self):
+        """A 16-byte block straddling a 64-byte boundary touches two L1
+        I-lines with 64-byte lines (the second one hits the 128-byte L2 line
+        the first one filled) and one with 128-byte lines."""
+        trace = Trace("straddle", [Block(pc=0x1038, instructions=4)])
+        paper = PAPER_MACHINE
+        assert memory_columns(trace, paper)[0] == [paper.memory_cycles + paper.l2_hit_cycles]
+        wide = MachineConfig(l1_line=128)
+        assert memory_columns(trace, wide)[0] == [wide.memory_cycles]
+
+    def test_memory_columns_memoized_per_hierarchy(self, small_trace):
+        trace = Trace(small_trace.name, list(small_trace.blocks))
+        paper = memory_columns(trace, PAPER_MACHINE)
+        assert memory_columns(trace, MachineConfig(pipeline_depth=30)) is paper
+        slow = memory_columns(trace, MachineConfig(memory_cycles=400))
+        assert slow is not paper and slow != paper
+        assert memory_columns(trace, PAPER_MACHINE) is paper
+        # A grown trace is annotated afresh (the length guard).
+        trace.blocks.append(Block(pc=0x7F_0000, instructions=4, loads=(0x7F_8000,)))
+        grown = memory_columns(trace, PAPER_MACHINE)
+        assert grown[0][:-1] == paper[0] and grown[1][:-1] == paper[1]
+        assert len(grown[0]) == len(paper[0]) + 1
+
+    def test_runs_are_self_contained(self, small_trace):
+        """Caches, BTB and RAS start cold on every run: with a stateless
+        predictor, two runs on one simulator agree exactly."""
+        from repro.predictors.static import AlwaysTakenPredictor
+
+        simulator = CycleSimulator(SingleCyclePolicy(AlwaysTakenPredictor()))
+        first = simulator.run(small_trace)
+        assert first.stalls.btb_miss > 0
+        assert simulator.run(small_trace) == first
 
 
 class TestMultiBlockFetch:
