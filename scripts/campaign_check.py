@@ -14,10 +14,11 @@ the in-process tier-1 tests cannot cover:
    holding a claim, then the run directory is synthetically damaged until
    one scan reports **all five classes** (completed / results-missing /
    failed / partial / missing), asserted via ``repro-campaign scan --json``;
-4. recovery: ``rerun --status failed,partial,results`` with a tiny
-   ``--stale-seconds`` steals the dead worker's claim, re-executes only the
-   damaged classes (plus the still-queued missing cells), and the final
-   merge is again byte-identical to (1).
+4. recovery: ``rerun --status failed,partial,results`` steals the dead
+   worker's claim at once (its owner process is gone from this host; no
+   ``--stale-seconds`` override), re-executes only the damaged classes
+   (plus the still-queued missing cells), and the final merge is again
+   byte-identical to (1).
 
 Exit status 0 means every stage behaved; any mismatch aborts with a
 diagnostic.  ``--report-out`` writes a JSON report (CI uploads it).
@@ -206,12 +207,12 @@ def main(argv: list[str] | None = None) -> int:
         save_snippet = (
             "import json, sys\n"
             "from repro.harness.campaign import load_campaign\n"
-            "from repro.harness.parallel import _shard_result_key\n"
+            "from repro.harness.sweep import cell_result_key\n"
             "from repro.harness.resultstore import active_result_store\n"
             "from repro.harness.campaign import shard_from_dict\n"
             f"spec = load_campaign({str(crash_dir)!r})\n"
             f"shard = shard_from_dict({json.dumps(regen_shard)})\n"
-            "key, cell = _shard_result_key(shard, spec['cfg']['accuracy'])\n"
+            "key, cell = cell_result_key(shard, spec['cfg']['accuracy'])\n"
             f"payload = json.loads(open({str(regen)!r}).read())['payload']\n"
             "active_result_store().save(key, cell, payload)\n"
         )
@@ -267,7 +268,6 @@ def main(argv: list[str] | None = None) -> int:
                 "rerun", str(crash_dir),
                 "--status", "failed,partial,results",
                 "--owner", "medic",
-                "--stale-seconds", "0.05",
                 "--json",
             ],
             extra_env={"REPRO_RESULT_STORE": str(store_dir)},

@@ -1,13 +1,16 @@
-"""End-to-end check of the parallel sweep executor, as CI runs it.
+"""End-to-end check of the sweep executor, as CI runs it.
 
 Drives the real ``repro-figures`` CLI four ways over one tiny figure:
 
 1. serial baseline (``--jobs 1``);
 2. parallel (``--jobs 2``) — output must be byte-identical to (1);
-3. parallel with a forced mid-run crash (``REPRO_PARALLEL_ABORT_AFTER``),
-   which must exit non-zero but leave shard checkpoints behind;
-4. ``--resume`` of (3), which must skip the checkpointed shards and again
-   produce byte-identical output.
+3. a crash: ``--jobs 2 --max-retries 0`` with ``REPRO_CAMPAIGN_ABORT_AFTER``
+   set, so both worker processes die holding a claim after K cells; with
+   no retry budget the run must exit non-zero, leaving exactly 2K cell
+   checkpoints and the dead workers' claims behind;
+4. ``--resume`` of (3), which must skip the checkpointed cells, steal the
+   dead workers' claims at once (no stale-claim override: their owner
+   processes are gone) and again produce byte-identical output.
 
 Exit status 0 means every stage behaved; any mismatch or unexpected exit
 code aborts with a diagnostic.  Pass ``--expect-speedup`` (CI does, on
@@ -39,12 +42,17 @@ CHECK_ENV = {
     "REPRO_BENCHMARKS": "gcc,eon",
 }
 TARGET = "figure1"
-ABORT_AFTER = "3"
+ABORT_AFTER = 3
+WORKERS = 2
+#: Far below the default 600 s stale-claim timeout: a resume that had to
+#: wait the dead workers' claims out fails instead of hanging.
+RUN_TIMEOUT_S = 300
 
 
 def run_cli(args: list[str], extra_env: dict[str, str] | None = None):
     """Run ``repro-figures`` with CHECK_ENV; returns CompletedProcess."""
     env = dict(os.environ, **CHECK_ENV)
+    env.pop("REPRO_CAMPAIGN_STALE_SECONDS", None)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env.update(extra_env or {})
     return subprocess.run(
@@ -53,6 +61,7 @@ def run_cli(args: list[str], extra_env: dict[str, str] | None = None):
         env=env,
         capture_output=True,
         text=True,
+        timeout=RUN_TIMEOUT_S,
     )
 
 
@@ -91,9 +100,9 @@ def main(argv: list[str] | None = None) -> int:
         if proc.returncode != 0:
             fail("serial run failed", proc)
 
-        print("[2/4] parallel --jobs 2")
+        print(f"[2/4] parallel --jobs {WORKERS}")
         started = time.perf_counter()
-        proc = run_cli(["--jobs", "2", "--output-dir", str(parallel_dir)])
+        proc = run_cli(["--jobs", str(WORKERS), "--output-dir", str(parallel_dir)])
         parallel_seconds = time.perf_counter() - started
         if proc.returncode != 0:
             fail("parallel run failed", proc)
@@ -104,39 +113,54 @@ def main(argv: list[str] | None = None) -> int:
             f"{parallel_seconds:.1f}s parallel)"
         )
 
-        print(f"[3/4] crash after {ABORT_AFTER} shards")
+        print(f"[3/4] crash: every worker dies after {ABORT_AFTER} cells")
         proc = run_cli(
-            ["--jobs", "2", "--run-dir", str(run_dir)],
-            extra_env={"REPRO_PARALLEL_ABORT_AFTER": ABORT_AFTER},
+            ["--jobs", str(WORKERS), "--max-retries", "0", "--run-dir", str(run_dir)],
+            extra_env={"REPRO_CAMPAIGN_ABORT_AFTER": str(ABORT_AFTER)},
         )
         if proc.returncode == 0:
             fail("crashed run unexpectedly exited 0")
-        checkpoints = sorted((run_dir / "shards").glob("*.json"))
-        if len(checkpoints) != int(ABORT_AFTER):
-            fail(f"expected {ABORT_AFTER} checkpoints, found {len(checkpoints)}")
+        if "SweepExecutionError" not in proc.stderr:
+            fail("crashed run did not fail with SweepExecutionError", proc)
+        checkpoints = sorted(
+            p for p in (run_dir / "shards").glob("*.json")
+            if not p.name.endswith(".failed.json")
+        )
+        if len(checkpoints) != WORKERS * ABORT_AFTER:
+            fail(
+                f"expected {WORKERS * ABORT_AFTER} checkpoints, "
+                f"found {len(checkpoints)}"
+            )
+        if not list((run_dir / "claims").glob("*.json")):
+            fail("the dead workers left no claims behind")
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        if manifest["status"] != "aborted":
-            fail(f"expected manifest status 'aborted', got {manifest['status']!r}")
+        if manifest["status"] != "failed":
+            fail(f"expected manifest status 'failed', got {manifest['status']!r}")
         mtimes = {p.name: p.stat().st_mtime_ns for p in checkpoints}
 
         print("[4/4] --resume the crashed run")
+        started = time.perf_counter()
         proc = run_cli(
-            ["--jobs", "2", "--resume", str(run_dir), "--output-dir", str(resumed_dir)]
+            ["--jobs", str(WORKERS), "--resume", str(run_dir),
+             "--output-dir", str(resumed_dir)]
         )
+        resume_seconds = time.perf_counter() - started
         if proc.returncode != 0:
             fail("resumed run failed", proc)
         manifest = json.loads((run_dir / "manifest.json").read_text())
         if manifest["status"] != "completed":
             fail(f"expected manifest status 'completed', got {manifest['status']!r}")
-        if manifest["shards"]["resumed"] != int(ABORT_AFTER):
-            fail(f"expected {ABORT_AFTER} resumed shards, got {manifest['shards']}")
+        if manifest["shards"]["resumed"] != len(checkpoints):
+            fail(f"expected {len(checkpoints)} resumed shards, got {manifest['shards']}")
+        if list((run_dir / "claims").glob("*.json")):
+            fail("claims left behind after the resume")
         for path in checkpoints:
             if path.stat().st_mtime_ns != mtimes[path.name]:
                 fail(f"resume recomputed checkpointed shard {path.name}")
         if read_output(resumed_dir) != read_output(serial_dir):
             fail("resumed output differs from serial output")
         print(f"      resumed {manifest['shards']['resumed']}, "
-              f"executed {manifest['shards']['executed']}")
+              f"executed {manifest['shards']['executed']} in {resume_seconds:.1f}s")
 
         if args.expect_speedup and parallel_seconds >= serial_seconds:
             fail(

@@ -17,8 +17,6 @@ from repro.harness.parallel import (
     Shard,
     ShardOutcome,
     SweepExecutionError,
-    pool_jobs,
-    run_shards,
 )
 from repro.harness.scale import (
     accuracy_instructions,
@@ -47,9 +45,7 @@ __all__ = [
     "measure_accuracy",
     "measure_override",
     "per_site_accuracy",
-    "pool_jobs",
     "resolved_config",
-    "run_shards",
     "scale_factor",
     "warmup_branches",
 ]

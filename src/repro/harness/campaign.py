@@ -1,12 +1,12 @@
 """Campaign orchestrator: classify -> plan -> execute over a shared run dir.
 
-The sweep layers below this one already persist everything a multi-process
-campaign needs — per-shard checkpoints (:mod:`repro.harness.parallel`), the
-content-addressed trace store, and the content-addressed result store — but
-until now "what work remains?" was answered three different ways: figconfig's
-grid probe, parallel's resume scan, and raw result-store key probes, none of
-which could tell a *failed* run from a *partial* one.  This module is the
-single answer.
+The campaign is the one scheduler for sweep cells beyond the plain serial
+loop.  :func:`execute` runs a sweep's grid as a campaign — the route behind
+``--jobs N`` and ``--run-dir`` — and ``repro-campaign`` and the prediction
+service drive the same classify/plan/work/merge steps directly.  It builds
+on the per-cell layer in :mod:`repro.harness.parallel` (shards, the cell
+function, checkpoints) and on the content-addressed trace and result
+stores.
 
 **Classification** (the ProjectScylla ``rerun_agents.py`` model).  Every cell
 of a campaign's shard universe lands in exactly one class:
@@ -36,18 +36,32 @@ results_missing > missing.
 machines sharing the run directory — pull from it.  Mutual exclusion is one
 claim file per cell under ``<run_dir>/claims/``, created with
 ``O_CREAT|O_EXCL`` (:func:`repro.common.atomic.exclusive_create_json`): the
-create-or-fail race has exactly one winner.  A claim older than
-``REPRO_CAMPAIGN_STALE_SECONDS`` is presumed abandoned (its worker crashed)
-and may be *stolen*; the steal is serialized by an atomic rename of the stale
-claim to a tombstone — ``rename(2)`` succeeds for exactly one stealer, so two
-workers can never both adopt the same dead cell.  Completion order is
-checkpoint -> dequeue -> release claim, so a crash at any point leaves
-evidence the scanner maps back to a class that re-converges.
+create-or-fail race has exactly one winner.  A claim is presumed abandoned
+— and may be *stolen* — when the process it names is gone from this host,
+or, for a claim from another host (or a PID since reused), once it is older
+than ``REPRO_CAMPAIGN_STALE_SECONDS``.  The steal is serialized by an atomic
+rename of the claim to a tombstone — ``rename(2)`` succeeds for exactly one
+stealer, so two workers can never both adopt the same dead cell.
+Completion order is checkpoint -> dequeue -> release claim, so a crash at
+any point leaves evidence the scanner maps back to a class that
+re-converges.
 
 **Retries** are requeue-with-budget: a failing cell goes back on the queue
-with its attempt count incremented until ``max_retries`` is exhausted, at
-which point a failure marker is written and the cell classifies as
-``failed`` until a ``rerun --status failed`` clears it.
+with its attempt count (and the error) recorded until ``max_retries`` is
+exhausted, at which point a failure marker is written and the cell
+classifies as ``failed`` until a rerun clears it.
+
+**The sweep executor** (:func:`execute`).  A sweep's shards join the
+campaign pinned in its run directory (a temporary one when none is given):
+one run directory serves every sweep of a figure run, each adding its
+shards to the universe under the same pinned per-kind configuration.  The
+executor plans the cells not yet checkpointed, then drains the queue with
+``jobs`` workers — one in-process, or ``jobs`` forked :func:`run_worker`
+processes, which return as soon as nothing is left for them to claim — and
+assembles the outcomes in canonical order from the checkpoints.  A forked
+worker that dies costs the cell it held one retry; a cell whose budget runs
+out fails the run with :class:`SweepExecutionError`.  The run summary goes
+to ``<run_dir>/manifest.json``, the event log, and the obs manifest.
 
 Classification, claim, steal, and requeue all emit versioned events on the
 :mod:`repro.obs.events` bus (no-ops without ``REPRO_LOG``), and each worker
@@ -57,21 +71,26 @@ campaign it must equal the number of planned executions exactly.
 
 Environment:
 
-* ``REPRO_CAMPAIGN_STALE_SECONDS`` — claim age beyond which it may be stolen
-  (default 600; must exceed the slowest single cell's execution time);
-* ``REPRO_CAMPAIGN_POLL_SECONDS`` — idle worker poll interval (default 0.2);
+* ``REPRO_CAMPAIGN_STALE_SECONDS`` — age beyond which a claim may be stolen
+  when its owner's liveness cannot be checked (default 600; must exceed the
+  slowest single cell's execution time);
+* ``REPRO_CAMPAIGN_POLL_SECONDS`` — idle worker poll interval (default 0.2;
+  0 = never wait: return once nothing is left to claim);
 * ``REPRO_CAMPAIGN_ABORT_AFTER=K`` — test hook: a worker dies (RuntimeError)
   after K executed cells *while holding its next claim*, manufacturing the
-  stale-claim / partial evidence the crash drills classify and steal.
+  dead-claim / partial evidence the crash drills classify and steal.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import socket
+import tempfile
 import time
 from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 from repro import obs
@@ -81,17 +100,18 @@ from repro.common.atomic import (
     stale_tmp_siblings,
 )
 from repro.common.errors import ConfigurationError, ReproError
+from repro.harness import parallel
 from repro.harness.parallel import (
     CHECKPOINT_SCHEMA,
+    STORE_STAT_KEYS,
     CheckpointStore,
     Shard,
     ShardOutcome,
-    _execute_shard,
-    _shard_result_key,
-    _shard_spec_payloads,
+    SweepExecutionError,
     resolve_max_retries,
 )
 from repro.obs import events as obs_events
+from repro.obs.manifest import RUN_REPORTS
 
 #: Bumped when the campaign/queue/claim file layout changes.
 CAMPAIGN_SCHEMA = 1
@@ -193,12 +213,12 @@ class CampaignLayout:
     ::
 
         <run_dir>/
-          campaign.json            pinned shard universe + per-kind config
-          run.json                 per-kind config pin (CheckpointStore)
+          campaign.json            shard universe + per-kind config (the one pin)
           shards/<key>.json        completed-cell checkpoints
           shards/<key>.failed.json failure markers (retry budget exhausted)
           queue/<key>.json         outstanding work units
           claims/<key>.json        live worker claims
+          manifest.json            the sweep executor's last run summary
           merged.json              the deterministic merge
     """
 
@@ -257,18 +277,20 @@ def create_campaign(
     shards: list[Shard],
     cfg_by_kind: dict[str, dict],
     label: str = "campaign",
+    extend: bool = False,
 ) -> dict:
     """Create (or idempotently join) the campaign pinned in ``run_dir``.
 
     The first creator writes ``campaign.json`` — the shard universe in
-    canonical merge order plus the per-kind sweep configuration — and pins
-    the same configuration through :meth:`CheckpointStore.pin_config` so
-    plain ``--run-dir`` resumes see it too.  Later callers (concurrent
-    workers, reruns) must present an identical universe and configuration
-    or the directory is refused rather than silently mixed.
+    canonical merge order plus the per-kind sweep configuration, the run
+    directory's one configuration pin.  Later callers (concurrent workers,
+    reruns) must present an identical universe and configuration or the
+    directory is refused rather than silently mixed.  With ``extend`` (the
+    sweep executor: one run directory serves several sweeps) a new grid
+    joins instead — its shards are appended to the universe and new kinds
+    pinned — but a kind already pinned must still match.
     """
     layout = CampaignLayout(run_dir).ensure()
-    store = CheckpointStore(run_dir)
     spec = json.loads(
         json.dumps(
             {
@@ -279,17 +301,33 @@ def create_campaign(
             }
         )
     )
-    for kind in sorted({shard.kind for shard in shards}):
-        store.pin_config(kind, cfg_by_kind[kind])
     existing = _read_json(layout.campaign_path)
     if existing is None:
         atomic_write_json(layout.campaign_path, spec)
         return spec
-    if (
-        existing.get("schema") != CAMPAIGN_SCHEMA
-        or existing.get("shards") != spec["shards"]
-        or existing.get("cfg") != spec["cfg"]
-    ):
+    if existing.get("schema") != CAMPAIGN_SCHEMA:
+        raise ConfigurationError(
+            f"{layout.campaign_path} has campaign schema {existing.get('schema')!r}; "
+            f"this build reads schema {CAMPAIGN_SCHEMA} — use a fresh run dir"
+        )
+    for kind, cfg in spec["cfg"].items():
+        pinned = existing["cfg"].get(kind)
+        if pinned is not None and pinned != cfg:
+            raise ConfigurationError(
+                f"run directory {run_dir!r} was created with a different "
+                f"{kind}-sweep configuration; resume with the original "
+                f"REPRO_SCALE/REPRO_ENGINE/machine settings or use a fresh "
+                f"--run-dir (pinned: {pinned}, requested: {cfg})"
+            )
+    if extend:
+        known = {shard_from_dict(item).key for item in existing["shards"]}
+        new = [item for shard, item in zip(shards, spec["shards"]) if shard.key not in known]
+        if new or not spec["cfg"].keys() <= existing["cfg"].keys():
+            existing["shards"] += new
+            existing["cfg"].update(spec["cfg"])
+            atomic_write_json(layout.campaign_path, existing)
+        return existing
+    if existing.get("shards") != spec["shards"] or existing.get("cfg") != spec["cfg"]:
         raise ConfigurationError(
             f"run directory {run_dir!r} already holds a different campaign "
             f"(label {existing.get('label')!r}); use a fresh run dir or rerun "
@@ -373,7 +411,9 @@ def classify_shard(
     """
     hit = None
     if result_store is not None and cfg is not None:
-        key, cell = _shard_result_key(shard, cfg)
+        from repro.harness.sweep import cell_result_key
+
+        key, cell = cell_result_key(shard, cfg)
         hit = result_store.probe(key, cell)
     if layout is None:
         return "completed" if hit else "missing"
@@ -454,8 +494,11 @@ class WorkQueue:
 
     # entries ------------------------------------------------------------
 
-    def enqueue(self, shard: Shard, action: str, attempts: int = 0) -> None:
-        """Idempotently (re)write one work unit."""
+    def enqueue(
+        self, shard: Shard, action: str, attempts: int = 0, errors: list[str] | None = None
+    ) -> None:
+        """Idempotently (re)write one work unit; ``errors`` are those of its
+        failed attempts so far."""
         atomic_write_json(
             self.layout.queue_path(shard.key),
             {
@@ -463,6 +506,7 @@ class WorkQueue:
                 "shard": asdict(shard),
                 "action": action,
                 "attempts": attempts,
+                "errors": errors or [],
             },
         )
 
@@ -497,9 +541,10 @@ class WorkQueue:
         """Claim ``key`` for ``owner``: ``"claimed"``, ``"stolen"``, or None.
 
         None means another worker holds a live claim — skip the cell and
-        come back later.  A claim whose ``ts`` is older than
-        ``stale_seconds`` (or that is unreadable: its writer died
-        mid-create) is stolen: the stale file is renamed to a PID-suffixed
+        come back later.  A claim naming a process that no longer exists on
+        this host is stolen at once; any other claim only once its ``ts`` is
+        older than ``stale_seconds`` (an unreadable claim goes by its file
+        clock).  To steal, the claim file is renamed to a PID-suffixed
         tombstone first, and since exactly one concurrent ``rename`` of the
         same source succeeds, exactly one stealer proceeds to re-create the
         claim — via the same ``O_EXCL`` create a fresh claimer uses, so a
@@ -517,7 +562,11 @@ class WorkQueue:
             return "claimed"
         existing = _read_json(path)
         if existing is not None:
-            age = time.time() - float(existing.get("ts", 0.0))
+            # Another host's claim, or a reused PID, leaves only the age rule.
+            if _owner_dead(existing):
+                age = math.inf
+            else:
+                age = time.time() - float(existing.get("ts", 0.0))
         else:
             # Unreadable claim: fall back to the file clock rather than
             # presuming its writer dead — claims are published with their
@@ -547,6 +596,36 @@ class WorkQueue:
             os.unlink(self.layout.claim_path(key))
         except OSError:
             pass
+
+    def held_by(self, pid: int) -> list[str]:
+        """Keys whose claim names process ``pid`` on this host."""
+        try:
+            names = os.listdir(self.layout.claim_dir)
+        except OSError:
+            return []
+        host = socket.gethostname()
+        keys = []
+        for name in sorted(names):
+            if not name.endswith(".json"):
+                continue  # staging files and tombstones
+            claim = _read_json(os.path.join(self.layout.claim_dir, name))
+            if claim and claim.get("pid") == pid and claim.get("host") == host:
+                keys.append(name[: -len(".json")])
+        return keys
+
+
+def _owner_dead(claim: dict) -> bool:
+    """True when ``claim`` names a process on this host that has exited."""
+    pid = claim.get("pid")
+    if claim.get("host") != socket.gethostname() or not isinstance(pid, int) or pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:
+        pass  # alive, owned by another user
+    return False
 
 
 # -- planner -------------------------------------------------------------------
@@ -606,19 +685,24 @@ def plan(
 # -- worker --------------------------------------------------------------------
 
 
-def _regenerate_payload(shard: Shard, cfg: dict) -> dict | None:
-    """The cell's payload straight from the result store (None on miss).
+def _shard_spec_payloads(shards: list[Shard]) -> dict[tuple[str, int], dict | None]:
+    """Serialized specs keyed by (family, budget): sizing runs once per
+    worker, and cells rebuild bit-identical predictors from the embedded
+    configs.  A family the registry cannot resolve maps to None — the cell
+    then builds through the registry (and raises the same error the serial
+    path would)."""
+    from repro.predictors import registry
 
-    The ``results_missing`` fast path: no trace load, no predictor build —
-    the store entry *is* the result, checksum-verified by the store itself.
-    """
-    from repro.harness.resultstore import active_result_store
-
-    store = active_result_store()
-    if store is None:
-        return None
-    key, cell = _shard_result_key(shard, cfg)
-    return store.load(key, cell)
+    payloads: dict[tuple[str, int], dict | None] = {}
+    for shard in shards:
+        key = (shard.family, shard.budget_bytes)
+        if key in payloads:
+            continue
+        try:
+            payloads[key] = registry.serialize_spec(shard.family, shard.budget_bytes)
+        except ReproError:
+            payloads[key] = None
+    return payloads
 
 
 def run_worker(
@@ -631,10 +715,13 @@ def run_worker(
 ) -> dict:
     """Pull work units from the campaign queue until it drains.
 
-    One call = one worker process.  Run any number of these concurrently
-    against the same run directory (locally or across machines sharing
-    it); the claim protocol guarantees each cell executes exactly once
-    barring crashes, and crash recovery is a rescan away.
+    One call = one worker.  Run any number of these concurrently against
+    the same run directory (locally or across machines sharing it); the
+    claim protocol guarantees each cell executes exactly once barring
+    crashes, and crash recovery is a rescan away.  While every outstanding
+    cell is claimed by another live worker the worker polls every
+    ``poll_seconds``; with ``poll_seconds=0`` it returns instead (the sweep
+    executor's workers, whose parent rescans after joining them).
 
     ``should_stop`` is polled between cells (never mid-cell): when it goes
     truthy the worker finishes the cell it holds, releases its claim, and
@@ -668,14 +755,12 @@ def run_worker(
     }
     status = "completed"
     started = time.perf_counter()
+    # A worker started under a live span (the sweep executor's parallel.run,
+    # a traced service request) parents its shard spans straight to it; a
+    # standalone worker roots its own trace.
+    root = obs.current_context() is None
     try:
-        with obs.span("campaign.worker", owner=owner, run_dir=run_dir):
-            # _execute_shard runs in-process here (unlike the parallel
-            # pool), so the open campaign.worker span already parents the
-            # shard spans through the local stack.  Adopting a context
-            # would install a process-global ambient parent that outlives
-            # this call.
-            trace_ctx = None
+        with obs.span("campaign.worker", owner=owner, run_dir=run_dir) if root else nullcontext():
             stopped = False
             while not stopped:
                 keys = queue.keys()
@@ -696,24 +781,18 @@ def run_worker(
                     obs_events.emit_claim(key, owner, stolen=claim == "stolen")
                     # A raise out of _work_one (the abort drill, or anything
                     # unexpected) deliberately leaves the claim held — that
-                    # is exactly the stale-claim evidence a crashed worker
-                    # leaves, and the steal path is how it gets cleaned up.
+                    # is exactly the evidence a crashed worker leaves, and
+                    # the steal path is how it gets cleaned up.
                     _work_one(
-                        key,
-                        queue,
-                        store,
-                        layout,
-                        cfg_by_kind,
-                        spec_payloads,
-                        counters,
-                        max_retries,
-                        trace_ctx,
-                        abort_after,
+                        key, queue, store, layout, cfg_by_kind, spec_payloads,
+                        counters, max_retries, abort_after,
                     )
                     queue.release(key)
                 if not stopped and not progressed and queue.keys():
                     # Everything outstanding is claimed by live workers;
                     # wait for them to finish, fail, or go stale.
+                    if not poll_seconds:
+                        break
                     time.sleep(poll_seconds)
             if stopped:
                 status = "stopped"
@@ -744,10 +823,9 @@ def _work_one(
     spec_payloads: dict,
     counters: dict[str, int],
     max_retries: int,
-    trace_ctx: dict | None,
     abort_after: int,
-) -> bool:
-    """Process one claimed work unit; True when the claim may be released.
+) -> None:
+    """Process one claimed work unit.
 
     The entry is re-read *after* claiming: a worker that completed the cell
     moments ago dequeued it before releasing its claim, so a vanished entry
@@ -755,14 +833,14 @@ def _work_one(
     """
     entry = queue.entry(key)
     if entry is None:
-        return True
+        return
     shard = shard_from_dict(entry["shard"])
     if store.load(shard) is not None:
         queue.dequeue(key)
-        return True
+        return
     done = counters["cells_executed"] + counters["cells_regenerated"]
     if abort_after and done >= abort_after:
-        # Crash drill: die holding this claim, leaving the stale-claim /
+        # Crash drill: die holding this claim, leaving the dead-claim /
         # still-queued evidence the scanner must classify as partial.
         raise RuntimeError(
             f"aborted by REPRO_CAMPAIGN_ABORT_AFTER={abort_after} "
@@ -772,61 +850,337 @@ def _work_one(
     if cfg is None:
         raise CampaignError(f"campaign has no configuration for kind {shard.kind!r}")
     attempt = int(entry.get("attempts", 0))
-    action = entry.get("action", "execute")
+    try:
+        # Resolved per call: the module attribute may be wrapped.
+        result = parallel._execute_shard(
+            shard, cfg, attempt, spec_payloads.get((shard.family, shard.budget_bytes))
+        )
+    except Exception as exc:
+        counters["failures"] += 1
+        error = f"{type(exc).__name__}: {exc}"
+        if _record_failure(queue, layout, shard, entry, error, max_retries):
+            counters["requeues"] += 1
+        return
+    # A cell planned for regeneration that the result store served: no
+    # trace was loaded and no predictor built.
+    regenerated = entry.get("action") == "regenerate" and result["result_store"]["hits"] > 0
+    store.store(
+        ShardOutcome(
+            shard=shard,
+            payload=result["payload"],
+            duration_seconds=result["duration_seconds"],
+            worker_pid=os.getpid(),
+            retries=attempt,
+            regenerated=regenerated,
+            errors=entry.get("errors", []),
+            trace_cache=result["trace_cache"],
+            trace_store=result["trace_store"],
+            result_store=result["result_store"],
+        )
+    )
+    obs_events.emit_checkpoint(key, "store")
+    counters["cells_regenerated" if regenerated else "cells_executed"] += 1
+    queue.dequeue(key)
+
+
+def _record_failure(
+    queue: WorkQueue,
+    layout: CampaignLayout,
+    shard: Shard,
+    entry: dict,
+    error: str,
+    max_retries: int,
+) -> bool:
+    """Charge the cell one failed attempt: requeue it while the retry
+    budget lasts (True), else write its failure marker and dequeue it."""
+    attempt = int(entry.get("attempts", 0))
+    errors = [*entry.get("errors", []), error]
+    obs_events.emit_retry(shard.key, attempt, error)
+    if attempt < max_retries:
+        queue.enqueue(shard, entry.get("action", "execute"), attempt + 1, errors)
+        obs_events.emit_requeue(shard.key, attempt + 1, error)
+        return True
+    atomic_write_json(
+        layout.failure_path(shard),
+        {
+            "schema": CAMPAIGN_SCHEMA,
+            "shard": asdict(shard),
+            "attempts": attempt + 1,
+            "error": error,
+            "errors": errors,
+            "ts": time.time(),
+        },
+    )
+    queue.dequeue(shard.key)
+    return False
+
+
+# -- sweep executor ------------------------------------------------------------
+
+
+def execute(
+    shards: list[Shard],
+    cfg: dict,
+    jobs: int = 1,
+    run_dir: str | None = None,
+    max_retries: int | None = None,
+    label: str = "sweep",
+) -> list[ShardOutcome]:
+    """Run one sweep's ``shards`` (all of one kind) as a campaign; returns
+    their outcomes in input order — the canonical order, so merged results
+    are deterministic.
+
+    ``cfg`` is the kind's JSON-able sweep configuration, pinned in the
+    campaign; with ``run_dir`` every finished cell stays checkpointed
+    there, and a rerun skips it.  Without one, the campaign lives in a
+    temporary directory for the duration of the call.
+    """
+    if not shards:
+        return []
+    max_retries = resolve_max_retries(max_retries)
+    if run_dir is not None:
+        return _execute(shards, cfg, jobs, run_dir, max_retries, label, fresh=False)
+    with tempfile.TemporaryDirectory(prefix="repro-sweep-") as tmp:
+        return _execute(shards, cfg, jobs, tmp, max_retries, label, fresh=True)
+
+
+def _execute(
+    shards: list[Shard],
+    cfg: dict,
+    jobs: int,
+    run_dir: str,
+    max_retries: int,
+    label: str,
+    fresh: bool,
+) -> list[ShardOutcome]:
+    """:func:`execute` on a concrete run directory (``fresh``: just made)."""
+    # Own the REPRO_LOG file before any worker forks: workers inherit the
+    # owner PID and route their events to per-PID sidecars.
+    obs.claim_log_ownership()
+    cfg_by_kind = {shards[0].kind: cfg}
+    create_campaign(run_dir, shards, cfg_by_kind, label=label, extend=True)
+    layout = CampaignLayout(run_dir)
+    store = CheckpointStore(run_dir)
+    if fresh:
+        # An empty directory holds no evidence; the result store is
+        # consulted per cell as it executes.
+        cells = [CellStatus(shard, "missing") for shard in shards]
+    else:
+        cells = scan(run_dir, shards, cfg_by_kind, label=label)
+    resumed = {cell.shard.key for cell in cells if cell.status == "completed"}
+    plan(run_dir, cells=cells)
+    pending = [shard for shard in shards if shard.key not in resumed]
+    status = "completed"
     started = time.perf_counter()
     try:
-        payload = None
-        regenerated = False
-        if action == "regenerate":
-            payload = _regenerate_payload(shard, cfg)
-            regenerated = payload is not None
-            # A store entry evicted since the scan falls through to a
-            # normal execution rather than failing the cell.
-        if payload is None:
-            result = _execute_shard(
-                shard,
-                cfg,
-                attempt,
-                spec_payloads.get((shard.family, shard.budget_bytes)),
-                trace_ctx,
-            )
-            payload = result["payload"]
-    except Exception as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        counters["failures"] += 1
-        obs_events.emit_retry(key, attempt, error)
-        if attempt < max_retries:
-            queue.enqueue(shard, action, attempts=attempt + 1)
-            counters["requeues"] += 1
-            obs_events.emit_requeue(key, attempt + 1, error)
-        else:
-            atomic_write_json(
-                layout.failure_path(shard),
+        with obs.span(
+            "parallel.run", label=label, jobs=jobs, shards=len(shards), resumed=len(resumed)
+        ):
+            while pending:
+                dead, charged = _drain(run_dir, jobs, max_retries)
+                left = [s for s in pending if not os.path.exists(layout.checkpoint_path(s))]
+                for shard in left:
+                    marker = _read_json(layout.failure_path(shard))
+                    if marker is not None:
+                        raise SweepExecutionError(
+                            f"shard {shard.key} failed {marker.get('attempts')} times "
+                            f"(max_retries={max_retries}); last error: {marker.get('error')}"
+                        )
+                if len(left) == len(pending) and not charged:
+                    if dead:
+                        raise SweepExecutionError(
+                            f"{dead} worker process(es) died outside any cell "
+                            f"and none finished one"
+                        )
+                    # Every cell left is claimed by a live worker elsewhere;
+                    # wait for it to finish, fail, or go stale.
+                    time.sleep(poll_seconds_default())
+                pending = left
+    except SweepExecutionError:
+        status = "failed"
+        raise
+    except BaseException:
+        status = "aborted"
+        raise
+    finally:
+        outcomes = {shard.key: store.load(shard) for shard in shards}
+        summary = _summarize(
+            label, jobs, max_retries, shards, outcomes, resumed, layout, status,
+            time.perf_counter() - started,
+        )
+        _publish(summary, jobs)
+        store.write_manifest(summary)
+    return [outcomes[shard.key] for shard in shards]
+
+
+def _drain(run_dir: str, jobs: int, max_retries: int) -> tuple[int, bool]:
+    """Work the queue with ``jobs`` workers until none finds anything left
+    to claim; returns (worker processes that died, whether any of them held
+    a cell, which is then charged one retry).
+
+    One worker runs in this process.  More are forked — so they inherit the
+    open ``parallel.run`` span, the event-log ownership and any wrapped
+    functions — and joined.  The claim a dead worker held stays in place:
+    its owner is gone, so the next claimer steals it at once.
+    """
+    layout = CampaignLayout(run_dir)
+    queue = WorkQueue(layout)
+    if jobs == 1:
+        try:
+            run_worker(run_dir, poll_seconds=0, max_retries=max_retries)
+        except BaseException:
+            # This process outlives its worker: release the claim the worker
+            # died holding, or a resume here would wait it out.
+            for key in queue.held_by(os.getpid()):
+                queue.release(key)
+            raise
+        return 0, False
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    workers = [
+        context.Process(
+            target=run_worker,
+            args=(run_dir,),
+            kwargs={"poll_seconds": 0, "max_retries": max_retries},
+        )
+        for _ in range(jobs)
+    ]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    dead = [worker for worker in workers if worker.exitcode != 0]
+    charged = False
+    for worker in dead:
+        for key in queue.held_by(worker.pid):
+            entry = queue.entry(key)
+            if entry is None:
+                continue
+            shard = shard_from_dict(entry["shard"])
+            if os.path.exists(layout.checkpoint_path(shard)):
+                continue  # died after checkpointing: the cell is done
+            error = f"worker {worker.pid} died (exit code {worker.exitcode})"
+            _record_failure(queue, layout, shard, entry, error, max_retries)
+            charged = True
+    return len(dead), charged
+
+
+def _summarize(
+    label: str,
+    jobs: int,
+    max_retries: int,
+    shards: list[Shard],
+    outcomes: dict[str, ShardOutcome | None],
+    resumed: set[str],
+    layout: CampaignLayout,
+    status: str,
+    wall_seconds: float,
+) -> dict:
+    """The run manifest body: per-shard timings, worker load, retries and
+    failures of this run (resumed cells count only as resumed)."""
+    workers: dict[str, dict] = {}
+    cache = {"hits": 0, "misses": 0}
+    store_totals = dict.fromkeys(STORE_STAT_KEYS, 0)
+    result_totals = dict.fromkeys(STORE_STAT_KEYS, 0)
+    counts = {"executed": 0, "regenerated": 0}
+    timings = []
+    failures = []
+    for shard in shards:
+        outcome = outcomes[shard.key]
+        old = shard.key in resumed
+        if outcome is not None:
+            timings.append(
                 {
-                    "schema": CAMPAIGN_SCHEMA,
-                    "shard": asdict(shard),
-                    "attempts": attempt + 1,
-                    "error": error,
-                    "ts": time.time(),
-                },
+                    "shard": shard.key,
+                    "seconds": outcome.duration_seconds,
+                    "pid": outcome.worker_pid,
+                    "retries": outcome.retries,
+                    "from_checkpoint": old,
+                    "regenerated": outcome.regenerated,
+                }
             )
-            queue.dequeue(key)
-        return True
-    outcome = ShardOutcome(
-        shard=shard,
-        payload=payload,
-        duration_seconds=time.perf_counter() - started,
-        worker_pid=os.getpid(),
-        retries=attempt,
+        if old:
+            continue
+        if outcome is None:
+            errors = (_read_json(layout.failure_path(shard)) or {}).get("errors", [])
+        else:
+            errors = outcome.errors
+        failures += [
+            {"shard": shard.key, "attempt": attempt, "error": error}
+            for attempt, error in enumerate(errors)
+        ]
+        if outcome is None:
+            continue
+        counts["regenerated" if outcome.regenerated else "executed"] += 1
+        worker = workers.setdefault(
+            str(outcome.worker_pid),
+            {"shards": 0, "seconds": 0.0, "trace_store": dict.fromkeys(STORE_STAT_KEYS, 0)},
+        )
+        worker["shards"] += 1
+        worker["seconds"] += outcome.duration_seconds
+        for key in cache:
+            cache[key] += outcome.trace_cache.get(key, 0)
+        for key in STORE_STAT_KEYS:
+            worker["trace_store"][key] += outcome.trace_store.get(key, 0)
+            store_totals[key] += outcome.trace_store.get(key, 0)
+            result_totals[key] += outcome.result_store.get(key, 0)
+    return {
+        "schema": CHECKPOINT_SCHEMA,
+        "label": label,
+        "status": status,
+        "jobs": jobs,
+        "max_retries": max_retries,
+        "wall_seconds": wall_seconds,
+        "shards": {
+            "total": len(shards),
+            "resumed": len(resumed),
+            **counts,
+            "incomplete": len(shards) - len(resumed) - sum(counts.values()),
+        },
+        "retries": len(failures),
+        "failures": failures,
+        "workers": workers,
+        "trace_cache": cache,
+        "trace_store": store_totals,
+        "result_store": result_totals,
+        "shard_timings": timings,
+    }
+
+
+def _publish(summary: dict, jobs: int) -> None:
+    """Hand the run summary to the obs manifest, the event log and (when
+    profiling) the metrics registry."""
+    RUN_REPORTS.append(summary)
+    # Pull every worker's per-PID sidecar into the main event log and close
+    # the trail with the authoritative run summary (the numbers
+    # ``repro-stats regress`` gates on).  Both no-op without REPRO_LOG.
+    obs_events.collect_worker_events()
+    obs_events.emit_counter(
+        {f"trace_cache.{key}": value for key, value in summary["trace_cache"].items()}
     )
-    store.store(outcome)
-    obs_events.emit_checkpoint(key, "store")
-    if regenerated:
-        counters["cells_regenerated"] += 1
-    else:
-        counters["cells_executed"] += 1
-    queue.dequeue(key)
-    return True
+    obs_events.emit_run_summary(
+        summary["label"], {k: v for k, v in summary.items() if k != "shard_timings"}
+    )
+    if not obs.enabled():
+        return
+    registry = obs.registry()
+    shards = summary["shards"]
+    registry.counter("parallel.shards_executed").inc(shards["executed"])
+    registry.counter("parallel.shards_resumed").inc(shards["resumed"])
+    if shards["regenerated"]:
+        registry.counter("parallel.shards_regenerated").inc(shards["regenerated"])
+    registry.counter("parallel.retries").inc(summary["retries"])
+    for row in summary["shard_timings"]:
+        if not row["from_checkpoint"] and not row["regenerated"]:
+            registry.timer("parallel.shard_seconds").observe(row["seconds"])
+    if jobs > 1:
+        # Forked workers' store activity never reaches this process's
+        # counters on its own; mirror the aggregated deltas here.
+        for store in ("trace_store", "result_store"):
+            for key, value in summary[store].items():
+                if value:
+                    registry.counter(f"{store}.{key}").inc(value)
 
 
 # -- merge ---------------------------------------------------------------------

@@ -16,11 +16,11 @@ Scale with ``REPRO_SCALE`` (trace length multiplier) and
 evaluation engine with ``--engine`` (or ``REPRO_ENGINE``).
 
 Parallel execution: ``--jobs N`` (or ``REPRO_JOBS``; ``auto`` = one worker
-per CPU) shards every sweep across a process pool with results identical
-to the serial path.  ``--run-dir DIR`` checkpoints finished shards so an
-interrupted run restarted with ``--resume DIR`` skips completed work;
-``--max-retries`` bounds per-shard retry attempts (failures land in
-``DIR/manifest.json``).
+per CPU) runs every sweep as a campaign drained by N worker processes,
+with results identical to the serial path.  ``--run-dir DIR`` keeps that
+campaign in DIR — one checkpoint per finished cell — so an interrupted run
+restarted with ``--resume DIR`` skips completed work; ``--max-retries``
+bounds per-cell retry attempts (failures land in ``DIR/manifest.json``).
 
 Trace store: ``--trace-store DIR`` (or ``REPRO_TRACE_STORE``) persists
 generated traces in a content-addressed on-disk store; later runs load
@@ -172,15 +172,15 @@ def main(argv: list[str] | None = None) -> int:
         "--run-dir",
         default=None,
         metavar="DIR",
-        help="checkpoint finished sweep shards under DIR so an interrupted "
-        "parallel run can be resumed (see --resume)",
+        help="run sweeps as a campaign in DIR, checkpointing every finished "
+        "cell so an interrupted run can be resumed (see --resume)",
     )
     parser.add_argument(
         "--resume",
         default=None,
         metavar="DIR",
-        help="resume a parallel run from DIR's shard checkpoints, skipping "
-        "completed shards (DIR must exist; implies --run-dir DIR)",
+        help="resume a run from DIR's cell checkpoints, skipping completed "
+        "cells (DIR must exist; implies --run-dir DIR)",
     )
     parser.add_argument(
         "--max-retries",
@@ -346,9 +346,6 @@ def main(argv: list[str] | None = None) -> int:
 
 def _campaign_grid(args, parser) -> tuple[list, dict]:
     """(shards, cfg_by_kind) from the ``run`` subcommand's grid flags."""
-    from repro.harness.parallel import Shard
-    from repro.harness.scale import benchmark_names
-
     if not args.families or not args.budgets:
         parser.error(
             "creating a campaign requires --families and --budgets "
@@ -359,25 +356,16 @@ def _campaign_grid(args, parser) -> tuple[list, dict]:
         budgets = [int(b) for b in args.budgets.split(",") if b.strip()]
     except ValueError:
         parser.error("--budgets must be a comma-separated list of integers")
-    benchmarks = (
-        [b.strip() for b in args.benchmarks.split(",") if b.strip()]
-        if args.benchmarks
-        else benchmark_names()
-    )
+    benchmarks = [b.strip() for b in (args.benchmarks or "").split(",") if b.strip()]
     modes = [m.strip() for m in (args.mode or "ideal").split(",") if m.strip()]
-    shards = []
-    # Canonical merge order: benchmark -> family -> budget (-> mode), the
-    # serial sweeps' iteration order.
-    for benchmark in benchmarks:
-        for family in families:
-            for budget in budgets:
-                if args.kind == "ipc":
-                    shards.extend(
-                        Shard("ipc", benchmark, family, budget, mode) for mode in modes
-                    )
-                else:
-                    shards.append(Shard("accuracy", benchmark, family, budget))
-    return shards, {args.kind: figconfig.grid_cfg(args.kind)}
+    grid = figconfig.GridSpec(
+        args.kind,
+        tuple(families),
+        tuple(budgets),
+        tuple(benchmarks) or None,  # None: REPRO_BENCHMARKS or all
+        tuple(modes) if args.kind == "ipc" else (),
+    )
+    return list(figconfig.grid_shards(grid)), {args.kind: figconfig.grid_cfg(args.kind)}
 
 
 def _campaign_report(run_dir: str, cells, label: str) -> dict:
@@ -480,7 +468,9 @@ def campaign_main(argv: list[str] | None = None) -> int:
             type=float,
             default=None,
             metavar="S",
-            help="steal claims older than S seconds "
+            help="steal claims older than S seconds when their owner's "
+            "liveness cannot be checked (another host); a claim whose owner "
+            "process on this host has exited is stolen at once "
             "(or REPRO_CAMPAIGN_STALE_SECONDS; default 600 — must exceed "
             "the slowest single cell)",
         )
@@ -490,7 +480,8 @@ def campaign_main(argv: list[str] | None = None) -> int:
             default=None,
             metavar="S",
             help="idle poll interval while other workers hold all remaining "
-            "claims (or REPRO_CAMPAIGN_POLL_SECONDS; default 0.2)",
+            "claims (or REPRO_CAMPAIGN_POLL_SECONDS; default 0.2; 0 = do not "
+            "wait: return once nothing is left to claim)",
         )
         sub.add_argument(
             "--max-retries",

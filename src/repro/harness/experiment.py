@@ -49,13 +49,19 @@ def default_engine() -> str:
     return engine
 
 
-def default_jobs() -> int:
-    """The sweep worker count selected by ``REPRO_JOBS`` (default 1).
+def default_jobs(jobs: int | None = None) -> int:
+    """The sweep worker count: ``jobs`` when given, else ``REPRO_JOBS``
+    (default 1).
 
-    ``1`` keeps sweeps on the serial in-process path; anything larger routes
-    them through the process-pool executor in :mod:`repro.harness.parallel`.
-    ``auto`` (or ``0``) means one worker per CPU.
+    ``1`` keeps sweeps on the serial in-process loop (unless they have a
+    run directory); anything larger runs them as a campaign drained by
+    that many worker processes (:mod:`repro.harness.campaign`).  ``auto``
+    (or ``0``) in the environment means one worker per CPU.
     """
+    if jobs is not None:
+        if jobs < 1:
+            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+        return jobs
     raw = os.environ.get("REPRO_JOBS", "1").strip().lower() or "1"
     if raw in ("auto", "0"):
         return os.cpu_count() or 1

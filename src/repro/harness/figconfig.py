@@ -404,10 +404,17 @@ def _import_family_modules(config: TargetConfig) -> None:
         importlib.import_module(module)
 
 
-def grid_cfg(kind: str) -> dict:
-    """The per-kind sweep configuration the current environment resolves
-    to — the very dict the executors pin in ``run.json``, so a config
-    target's cell keys match the sweeps' exactly."""
+def grid_cfg(
+    kind: str,
+    instructions: int | None = None,
+    engine: str | None = None,
+    machine=None,
+) -> dict:
+    """The per-kind sweep configuration every route executes a grid's
+    cells under (and a campaign pins): trace length and engine for
+    accuracy grids, trace length and machine for IPC grids.  Arguments
+    left None resolve from the environment, so a config target's cell
+    keys match the sweeps' exactly."""
     from repro.harness.experiment import default_engine
     from repro.harness.scale import (
         WARMUP_FRACTION,
@@ -418,15 +425,20 @@ def grid_cfg(kind: str) -> dict:
 
     if kind == "accuracy":
         return {
-            "instructions": accuracy_instructions(),
-            "engine": default_engine(),
+            "instructions": instructions or accuracy_instructions(),
+            "engine": engine or default_engine(),
             "warmup_fraction": WARMUP_FRACTION,
         }
-    return {"instructions": ipc_instructions(), "machine": asdict(PAPER_MACHINE)}
+    return {
+        "instructions": instructions or ipc_instructions(),
+        "machine": asdict(machine or PAPER_MACHINE),
+    }
 
 
 def grid_shards(grid: GridSpec) -> Iterator:
-    """Every grid cell as a campaign/parallel :class:`Shard`."""
+    """Every grid cell as a :class:`~repro.harness.parallel.Shard`, in the
+    canonical order (benchmark, family, budget[, mode]) every sweep route
+    executes and merges in."""
     from repro.harness.parallel import Shard
 
     if grid.kind == "accuracy":

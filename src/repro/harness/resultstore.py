@@ -30,14 +30,14 @@ predictions.
 
 The store is enabled by pointing ``REPRO_RESULT_STORE`` at a directory (or
 ``repro-figures --result-store DIR``).  :mod:`repro.harness.sweep` layers
-it under the serial sweeps and :mod:`repro.harness.parallel` under the
-process-pool workers (workers share the store directory exactly like they
-share the trace store), so a shard whose key hits returns its payload
-without executing anything.
+it under every sweep cell (:func:`repro.harness.sweep.cell_payload`, on the
+serial route and in campaign workers alike — workers share the store
+directory exactly like they share the trace store), so a shard whose key
+hits returns its payload without executing anything.
 
 Statistics (hits/misses/writes/corrupt/evictions) are module-wide —
 :func:`result_store_stats` — and mirrored into obs counters
-(``result_store.*``) when profiling is enabled; the parallel executor
+(``result_store.*``) when profiling is enabled; the sweep executor
 aggregates per-shard deltas into run manifests.
 """
 

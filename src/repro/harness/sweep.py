@@ -8,13 +8,19 @@ with ``REPRO_TRACE_STORE`` set, persisted to the content-addressed trace
 store so later *processes* pay nothing either (warm runs replay columnar
 traces with byte-identical sweep results).
 
-Because cells are independent, both sweeps accept ``jobs`` (default: the
-``REPRO_JOBS`` environment variable, 1 = serial): with more than one job
-the grid is executed by the process-pool executor in
-:mod:`repro.harness.parallel`, which shards per cell, checkpoints finished
-shards under ``run_dir`` (default ``REPRO_RUN_DIR``) for crash resume, and
-merges results back in this module's serial iteration order — the returned
-cells are identical either way.
+Every cell executes through :func:`repro.harness.parallel._execute_shard`
+(which computes it with :func:`cell_payload`), on one of two routes:
+
+* ``jobs == 1`` and no run directory: a plain in-process loop over the
+  grid's shards;
+* anything else (``jobs`` > 1 and/or ``run_dir``): a campaign
+  (:func:`repro.harness.campaign.execute`) on the run directory — or on a
+  temporary one — drained by ``jobs`` workers, with per-cell checkpoints
+  for crash resume.
+
+``jobs`` defaults to ``REPRO_JOBS`` (1) and ``run_dir`` to
+``REPRO_RUN_DIR``.  The returned cells are identical on either route, in
+this module's canonical grid order (benchmark, family, budget).
 """
 
 from __future__ import annotations
@@ -22,12 +28,15 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from itertools import groupby
 
 from repro import obs
 from repro.common.errors import ConfigurationError
 from repro.core.overriding import OverridingPredictor
+from repro.harness import parallel
 from repro.harness.aggregate import arithmetic_mean, harmonic_mean
-from repro.harness.experiment import default_engine, measure_accuracy, measure_override
+from repro.harness.experiment import default_jobs, measure_accuracy, measure_override
+from repro.harness.figconfig import GridSpec, grid_cfg, grid_shards
 from repro.harness.resultstore import (
     ResultCell,
     accuracy_result_key,
@@ -35,7 +44,6 @@ from repro.harness.resultstore import (
     ipc_result_key,
 )
 from repro.harness.scale import (
-    WARMUP_FRACTION,
     accuracy_instructions,
     benchmark_names,
     ipc_instructions,
@@ -53,21 +61,107 @@ from repro.workloads.spec2000 import get_profile, spec2000_trace
 POLICY_MODES = ("ideal", "overriding")
 
 
-def _resolve_parallel(
-    jobs: int | None, run_dir: str | None
-) -> tuple[int, str | None]:
-    """Resolve the (jobs, run_dir) pair a sweep call should use.
+def _run_grid(
+    name: str,
+    grid: GridSpec,
+    cfg: dict,
+    jobs: int | None,
+    run_dir: str | None,
+    max_retries: int | None,
+    label: str,
+    **attrs: object,
+) -> list[tuple[parallel.Shard, dict]]:
+    """(shard, payload) for every cell of ``grid``, in canonical order.
 
-    ``jobs=None`` defers to ``REPRO_JOBS`` (default 1: serial in-process);
-    ``run_dir=None`` defers to ``REPRO_RUN_DIR`` (default: no checkpoints).
+    Opens the sweep-level span ``name``: the trace's local root for this
+    sweep, over either the serial per-benchmark spans or the campaign's
+    ``parallel.run`` span and every worker shard span.
     """
-    from repro.harness.experiment import default_jobs
-
-    if jobs is None:
-        jobs = default_jobs()
+    jobs = default_jobs(jobs)
     if run_dir is None:
         run_dir = os.environ.get("REPRO_RUN_DIR", "").strip() or None
-    return jobs, run_dir
+    shards = list(grid_shards(grid))
+    with obs.span(name, jobs=jobs, **attrs):
+        if jobs > 1 or run_dir is not None:
+            from repro.harness.campaign import execute
+
+            outcomes = execute(shards, cfg, jobs, run_dir, max_retries, label=label)
+            return [(outcome.shard, outcome.payload) for outcome in outcomes]
+        cells = []
+        for benchmark, group in groupby(shards, key=lambda shard: shard.benchmark):
+            with obs.span(f"{name}.benchmark", benchmark=benchmark):
+                # Resolved per call: the module attribute may be wrapped.
+                cells += [
+                    (shard, parallel._execute_shard(shard, cfg, 0)["payload"])
+                    for shard in group
+                ]
+        return cells
+
+
+def cell_result_key(shard: parallel.Shard, cfg: dict) -> tuple[str, ResultCell]:
+    """The cell's result-store (key, cell) pair — one recipe for every
+    route, so serial runs, campaigns and ``--dry-run`` share one cache."""
+    if shard.kind == "accuracy":
+        key = accuracy_result_key(
+            shard.benchmark,
+            shard.family,
+            shard.budget_bytes,
+            cfg["instructions"],
+            cfg["engine"],
+            cfg["warmup_fraction"],
+        )
+        return key, ResultCell("accuracy", shard.benchmark, shard.family, shard.budget_bytes)
+    key = ipc_result_key(
+        shard.benchmark,
+        shard.family,
+        shard.budget_bytes,
+        shard.mode,
+        cfg["instructions"],
+        cfg["machine"],
+    )
+    return key, ResultCell(
+        "ipc", shard.benchmark, shard.family, shard.budget_bytes, shard.mode
+    )
+
+
+def cell_payload(shard: parallel.Shard, cfg: dict, spec_payload: dict | None = None) -> dict:
+    """One cell's payload through the result store, or computed directly.
+
+    The predictor is rebuilt from ``spec_payload`` (a serialized spec)
+    when given, else sized fresh from the registry — bit-identical either
+    way.  Cached and computed payloads are both JSON round-trips of the
+    same floats, so warm sweeps are byte-identical to cold ones.
+    """
+
+    def compute() -> dict:
+        if spec_payload is not None:
+            predictor = registry.build_serialized(spec_payload)
+        else:
+            predictor = build_family(shard.family, shard.budget_bytes)
+        trace = spec2000_trace(shard.benchmark, instructions=cfg["instructions"])
+        if shard.kind == "ipc":
+            return ipc_payload(
+                shard.benchmark,
+                shard.family,
+                shard.budget_bytes,
+                shard.mode,
+                MachineConfig(**cfg["machine"]),
+                trace,
+                predictor=predictor,
+            )
+        result = measure_accuracy(
+            predictor,
+            trace,
+            warmup_branches=warmup_branches(trace.conditional_branch_count),
+            engine=cfg["engine"],
+        )
+        return {"misprediction_percent": result.misprediction_percent}
+
+    store = active_result_store()
+    if store is None:
+        return compute()
+    key, cell = cell_result_key(shard, cfg)
+    return store.get_or_compute(key, cell, compute)
 
 
 def build_family(family: str, budget_bytes: int) -> BranchPredictor:
@@ -101,122 +195,38 @@ def accuracy_sweep(
     ``engine`` selects the evaluation engine per cell (scalar reference or
     the vectorized batch engine); ``None`` defers to ``REPRO_ENGINE``.
 
-    ``jobs`` > 1 fans the grid out across worker processes (``None`` defers
-    to ``REPRO_JOBS``); ``run_dir`` checkpoints finished shards there so an
-    interrupted sweep resumes without recomputation, retrying failed shards
-    ``max_retries`` times.  Results are identical to the serial path.
+    ``jobs`` > 1 runs the grid as a campaign drained by that many worker
+    processes (``None`` defers to ``REPRO_JOBS``); ``run_dir`` keeps the
+    campaign there, one checkpoint per finished cell, so an interrupted
+    sweep resumes without recomputation.  A failing cell is retried
+    ``max_retries`` times.  Results are identical on every route.
     """
     if benchmarks is None:
         benchmarks = benchmark_names()
     if instructions is None:
         instructions = accuracy_instructions()
-    jobs, run_dir = _resolve_parallel(jobs, run_dir)
-    # The sweep-level span is the trace's local root for this sweep: the
-    # serial per-benchmark spans (and, with jobs > 1, the executor's
-    # parallel.run span plus every worker shard span) all parent beneath it.
-    with obs.span(
+    grid = GridSpec("accuracy", tuple(families), tuple(budgets), tuple(benchmarks))
+    cells = _run_grid(
         "accuracy_sweep",
+        grid,
+        grid_cfg("accuracy", instructions=instructions, engine=engine),
+        jobs,
+        run_dir,
+        max_retries,
+        label="accuracy_sweep",
         benchmarks=len(benchmarks),
         families=len(families),
         budgets=len(budgets),
-        jobs=jobs,
-    ):
-        # Any run with a run directory goes through the planned-work
-        # executor (even serially, jobs=1): checkpoints, campaign
-        # classification, and selective rerun all live there now.
-        if jobs > 1 or run_dir is not None:
-            from repro.harness.parallel import parallel_accuracy_sweep
-
-            return parallel_accuracy_sweep(
-                families,
-                budgets,
-                benchmarks,
-                instructions,
-                engine,
-                jobs=jobs,
-                run_dir=run_dir,
-                max_retries=max_retries,
-            )
-        engine_name = engine if engine is not None else default_engine()
-        store = active_result_store()
-        cells = []
-        for benchmark in benchmarks:
-            with obs.span(
-                "accuracy_sweep.benchmark",
-                benchmark=benchmark,
-                families=",".join(families),
-                budgets=len(budgets),
-            ):
-                # Lazy: with a warm result store the trace (and every
-                # predictor) is never touched — the whole benchmark resolves
-                # from disk.
-                loader = _LazyTrace(benchmark, instructions)
-                for family in families:
-                    for budget in budgets:
-                        payload = _accuracy_cell_payload(
-                            store, benchmark, family, budget, instructions,
-                            engine_name, loader,
-                        )
-                        cells.append(
-                            AccuracyCell(
-                                benchmark=benchmark,
-                                family=family,
-                                budget_bytes=budget,
-                                misprediction_percent=payload["misprediction_percent"],
-                            )
-                        )
-        return cells
-
-
-class _LazyTrace:
-    """One benchmark trace fetched at most once, and only when some cell
-    actually misses the result store."""
-
-    def __init__(self, benchmark: str, instructions: int) -> None:
-        self.benchmark = benchmark
-        self.instructions = instructions
-        self._trace = None
-
-    @property
-    def trace(self):
-        if self._trace is None:
-            self._trace = spec2000_trace(self.benchmark, instructions=self.instructions)
-        return self._trace
-
-    @property
-    def warmup(self) -> int:
-        return warmup_branches(self.trace.conditional_branch_count)
-
-
-def _accuracy_cell_payload(
-    store,
-    benchmark: str,
-    family: str,
-    budget: int,
-    instructions: int,
-    engine_name: str,
-    loader: _LazyTrace,
-) -> dict:
-    """One accuracy cell through the result store (or computed directly).
-
-    Cached and computed payloads are both JSON round-trips of the same
-    floats, so warm sweeps are byte-identical to cold ones.
-    """
-
-    def compute() -> dict:
-        predictor = build_family(family, budget)
-        result = measure_accuracy(
-            predictor, loader.trace, warmup_branches=loader.warmup, engine=engine_name
-        )
-        return {"misprediction_percent": result.misprediction_percent}
-
-    if store is None:
-        return compute()
-    key = accuracy_result_key(
-        benchmark, family, budget, instructions, engine_name, WARMUP_FRACTION
     )
-    cell = ResultCell("accuracy", benchmark, family, budget)
-    return store.get_or_compute(key, cell, compute)
+    return [
+        AccuracyCell(
+            benchmark=shard.benchmark,
+            family=shard.family,
+            budget_bytes=shard.budget_bytes,
+            misprediction_percent=payload["misprediction_percent"],
+        )
+        for shard, payload in cells
+    ]
 
 
 def mean_by_family_budget(cells: list[AccuracyCell]) -> dict[tuple[str, int], float]:
@@ -310,79 +320,31 @@ def ipc_sweep(
 ) -> list[IpcCell]:
     """Cycle-simulated IPC for every (family, budget, benchmark) cell.
 
-    Parallel execution mirrors :func:`accuracy_sweep`: ``jobs`` > 1 shards
-    the grid across worker processes with optional ``run_dir`` checkpoints.
+    ``jobs``, ``run_dir`` and ``max_retries`` route the grid as in
+    :func:`accuracy_sweep`.
     """
     if benchmarks is None:
         benchmarks = benchmark_names()
     if instructions is None:
         instructions = ipc_instructions()
-    jobs, run_dir = _resolve_parallel(jobs, run_dir)
-    # Same trace shape as accuracy_sweep: one sweep-level root span over
-    # either the serial per-benchmark spans or the parallel executor's tree.
-    with obs.span(
+    grid = GridSpec("ipc", tuple(families), tuple(budgets), tuple(benchmarks), (mode,))
+    cells = _run_grid(
         "ipc_sweep",
+        grid,
+        grid_cfg("ipc", instructions=instructions, machine=config),
+        jobs,
+        run_dir,
+        max_retries,
+        label=f"ipc_sweep.{mode}",
         mode=mode,
         benchmarks=len(benchmarks),
         families=len(families),
         budgets=len(budgets),
-        jobs=jobs,
-    ):
-        if jobs > 1 or run_dir is not None:
-            from repro.harness.parallel import parallel_ipc_sweep
-
-            return parallel_ipc_sweep(
-                families,
-                budgets,
-                mode,
-                benchmarks,
-                instructions,
-                config,
-                jobs=jobs,
-                run_dir=run_dir,
-                max_retries=max_retries,
-            )
-        store = active_result_store()
-        machine = asdict(config)
-        cells = []
-        for benchmark in benchmarks:
-            with obs.span(
-                "ipc_sweep.benchmark", benchmark=benchmark, mode=mode, budgets=len(budgets)
-            ):
-                loader = _LazyTrace(benchmark, instructions)
-                for family in families:
-                    for budget in budgets:
-                        payload = _ipc_cell_payload(
-                            store, benchmark, family, budget, mode, instructions,
-                            machine, config, loader,
-                        )
-                        cells.append(
-                            IpcCell.from_payload(benchmark, family, mode, budget, payload)
-                        )
-        return cells
-
-
-def _ipc_cell_payload(
-    store,
-    benchmark: str,
-    family: str,
-    budget: int,
-    mode: str,
-    instructions: int,
-    machine: dict,
-    config: MachineConfig,
-    loader: _LazyTrace,
-) -> dict:
-    """One IPC cell through the result store (or simulated directly)."""
-
-    def compute() -> dict:
-        return ipc_payload(benchmark, family, budget, mode, config, loader.trace)
-
-    if store is None:
-        return compute()
-    key = ipc_result_key(benchmark, family, budget, mode, instructions, machine)
-    cell = ResultCell("ipc", benchmark, family, budget, mode)
-    return store.get_or_compute(key, cell, compute)
+    )
+    return [
+        IpcCell.from_payload(shard.benchmark, shard.family, mode, shard.budget_bytes, payload)
+        for shard, payload in cells
+    ]
 
 
 def ipc_payload(

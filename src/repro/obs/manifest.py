@@ -28,6 +28,10 @@ MANIFEST_VERSION = 1
 #: Manifest sections compared key-by-key in :func:`diff_manifests`.
 _DIFF_SECTIONS = ("config", "environment", "output")
 
+#: Run summaries the sweep executor hands over (per-shard worker timings,
+#: retry counts, failures); the next :func:`build_manifest` drains them.
+RUN_REPORTS: list[dict] = []
+
 
 def _git_sha() -> str | None:
     """Best-effort commit sha of the source tree (None outside a checkout)."""
@@ -102,13 +106,11 @@ def build_manifest(
         "phases": _phases(snapshot),
         "metrics": snapshot,
     }
-    from repro.harness.parallel import drain_run_reports  # deferred: layering
-
-    reports = drain_run_reports()
-    if reports:
+    if RUN_REPORTS:
         # Per-shard worker timings, retry counts and failures of every
-        # parallel sweep that fed this target (volatile: not diffed).
-        manifest["parallel"] = reports
+        # executor run that fed this target (volatile: not diffed).
+        manifest["parallel"] = RUN_REPORTS[:]
+        RUN_REPORTS.clear()
     return manifest
 
 

@@ -50,7 +50,7 @@ DEFAULT_REGISTRY = MetricsRegistry()
 
 #: Environment variable naming the PID that owns the main ``REPRO_LOG``
 #: file.  Set by :func:`claim_log_ownership`; a process inheriting it with
-#: a *different* PID (a pool worker) writes to ``<path>.<pid>`` instead.
+#: a *different* PID (a forked sweep worker) writes to ``<path>.<pid>`` instead.
 LOG_OWNER_ENV = "REPRO_LOG_OWNER_PID"
 
 _verbose: bool | None = None
@@ -63,9 +63,9 @@ class _ThreadState(threading.local):
     spans on its event-loop thread while campaign worker threads open
     shard spans concurrently, and a shared stack would interleave their
     parenting (and pop each other's handles).  Single-threaded processes —
-    every pre-service consumer — see identical behaviour, and forked /
-    spawned pool workers adopt their remote context on their own main
-    thread as before.
+    every pre-service consumer — see identical behaviour: a forked worker
+    inherits the forking thread's stack, and a spawned one adopts its
+    remote context on its own main thread.
     """
 
     def __init__(self) -> None:
@@ -171,7 +171,7 @@ def event_sink() -> str | None:
 
     The owning process (per ``REPRO_LOG_OWNER_PID``) writes to the
     ``REPRO_LOG`` path itself; every other process writes to its own
-    ``<path>.<pid>`` sidecar, merged back by the parallel executor via
+    ``<path>.<pid>`` sidecar, merged back by the sweep executor via
     :func:`repro.obs.events.collect_worker_events`.
     """
     path = log_path()

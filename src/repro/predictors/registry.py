@@ -6,7 +6,7 @@ place that knows *what a family is*.  Each family registers one
 :class:`FamilySpec` carrying its name, its serializable sizing config, a
 sizer (budget -> config), a builder (config -> predictor), and capability
 flags; every consumer — the factory, the sweep harness, the batch engine,
-the parallel executor, the CLI, and the conformance/fuzz test suites —
+the sweep executor, the CLI, and the conformance/fuzz test suites —
 derives its behaviour from the spec instead of hard-coding family lists.
 
 Adding a family is a one-module change:

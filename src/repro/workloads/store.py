@@ -33,7 +33,7 @@ last writer wins with byte-identical content.
 
 Statistics (hits/misses/corrupt/writes/evictions) are kept module-wide —
 :func:`store_stats` — and mirrored into obs counters (``trace_store.*``)
-when profiling is enabled; the parallel executor reports per-shard deltas
+when profiling is enabled; the sweep executor reports per-shard deltas
 into run manifests.
 """
 

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import json
 import os
+import socket
+import subprocess
+import sys
 import time
 from dataclasses import asdict
 
@@ -35,15 +38,14 @@ from repro.harness.campaign import (
     run_worker,
     scan,
 )
+from repro.harness.figconfig import GridSpec, grid_shards
 from repro.harness.parallel import (
     CheckpointStore,
     Shard,
     ShardOutcome,
-    _shard_result_key,
-    accuracy_shard_grid,
-    drain_run_reports,
 )
-from repro.harness.sweep import accuracy_sweep
+from repro.harness.sweep import accuracy_sweep, cell_result_key
+from repro.obs.manifest import RUN_REPORTS
 
 FAMILIES = ["gshare", "bimodal"]
 BUDGETS = [2 * 1024]
@@ -58,8 +60,13 @@ CFG = {
 }
 
 
+def accuracy_shards(families, budgets, benchmarks) -> list[Shard]:
+    grid = GridSpec("accuracy", tuple(families), tuple(budgets), tuple(benchmarks))
+    return list(grid_shards(grid))
+
+
 def grid() -> list[Shard]:
-    return accuracy_shard_grid(FAMILIES, BUDGETS, BENCHMARKS)
+    return accuracy_shards(FAMILIES, BUDGETS, BENCHMARKS)
 
 
 def make_campaign(run_dir) -> list[Shard]:
@@ -81,9 +88,9 @@ def write_checkpoint(run_dir, shard: Shard, payload=None) -> None:
 
 @pytest.fixture(autouse=True)
 def _fresh_reports():
-    drain_run_reports()
+    RUN_REPORTS.clear()
     yield
-    drain_run_reports()
+    RUN_REPORTS.clear()
 
 
 # -- configuration knobs -------------------------------------------------------
@@ -136,7 +143,7 @@ class TestCampaignSpec:
 
     def test_create_refuses_different_grid(self, tmp_path):
         make_campaign(tmp_path)
-        other = accuracy_shard_grid(["gshare"], BUDGETS, BENCHMARKS)
+        other = accuracy_shards(["gshare"], BUDGETS, BENCHMARKS)
         with pytest.raises(ConfigurationError, match="different campaign"):
             create_campaign(str(tmp_path), other, CFG)
 
@@ -164,9 +171,7 @@ class TestClassification:
         monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "store"))
         from repro.harness.resultstore import active_result_store
 
-        shards = accuracy_shard_grid(
-            ["gshare", "bimodal"], [1024, 2048], ["gcc", "eon"]
-        )[:5]
+        shards = accuracy_shards(["gshare", "bimodal"], [1024, 2048], ["gcc", "eon"])[:5]
         create_campaign(str(tmp_path), shards, CFG, label="damaged")
         done, torn, failed, claimed, stored = shards
 
@@ -179,7 +184,7 @@ class TestClassification:
         (tmp_path / "claims" / f"{claimed.key}.json").write_text(
             json.dumps({"owner": "dead-worker", "ts": 0.0})
         )  # claim, no checkpoint -> partial
-        key, cell = _shard_result_key(stored, CFG["accuracy"])
+        key, cell = cell_result_key(stored, CFG["accuracy"])
         active_result_store().save(
             key, cell, {"misprediction_percent": 2.0}
         )  # store hit, no checkpoint -> results_missing
@@ -260,6 +265,36 @@ class TestWorkQueue:
         path.write_text(json.dumps({"owner": "dead", "ts": time.time() - 3600}))
         assert queue.try_claim("cell", "w2", stale_seconds=600) == "stolen"
         assert json.loads(path.read_text())["owner"] == "w2"
+
+    def test_claim_of_dead_local_process_is_stolen_at_once(self, queue, tmp_path):
+        """A fresh claim naming a process that has exited on this host is
+        abandoned now: no waiting out ``stale_seconds``."""
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: the PID names no process any more
+        path = tmp_path / "claims" / "cell.json"
+        path.write_text(
+            json.dumps(
+                {"owner": "dead", "pid": child.pid, "host": socket.gethostname(),
+                 "ts": time.time()}
+            )
+        )
+        assert queue.try_claim("cell", "w2", stale_seconds=600) == "stolen"
+        assert json.loads(path.read_text())["owner"] == "w2"
+
+    def test_claim_of_live_process_is_not_stolen(self, queue, tmp_path):
+        path = tmp_path / "claims" / "cell.json"
+        path.write_text(
+            json.dumps(
+                {"owner": "live", "pid": os.getpid(), "host": socket.gethostname(),
+                 "ts": time.time()}
+            )
+        )
+        assert queue.try_claim("cell", "w2", stale_seconds=600) is None
+        # On another host only the age rule applies, whatever the PID.
+        path.write_text(
+            json.dumps({"owner": "far", "pid": 1 << 30, "host": "elsewhere", "ts": time.time()})
+        )
+        assert queue.try_claim("cell", "w2", stale_seconds=600) is None
 
     def test_fresh_unreadable_claim_is_not_stolen(self, queue, tmp_path):
         """A claim file that does not parse but is *young* must be treated
@@ -348,6 +383,20 @@ class TestWorkerAndMerge:
         assert plan(str(tmp_path)) == {"execute": 0, "regenerate": 0, "skip": 4}
         assert run_worker(str(tmp_path), owner="again")["cells_executed"] == 0
 
+    def test_zero_poll_worker_returns_when_nothing_is_claimable(self, tmp_path):
+        """``poll_seconds=0``: with every outstanding cell held by a live
+        worker, return at once instead of waiting for it."""
+        shards = make_campaign(tmp_path)
+        plan(str(tmp_path))
+        queue = WorkQueue(CampaignLayout(str(tmp_path)))
+        for shard in shards:
+            assert queue.try_claim(shard.key, "busy", stale_seconds=600) == "claimed"
+        started = time.perf_counter()
+        counters = run_worker(str(tmp_path), owner="idle", poll_seconds=0)
+        assert time.perf_counter() - started < 5
+        assert counters["claims"] == 0
+        assert len(queue.keys()) == len(shards)
+
     def test_merge_refuses_incomplete_campaign(self, tmp_path):
         shards = make_campaign(tmp_path)
         write_checkpoint(tmp_path, shards[0])
@@ -364,7 +413,7 @@ class TestWorkerAndMerge:
         shards = make_campaign(tmp_path / "run")
         store = active_result_store()
         for shard in shards:
-            key, cell = _shard_result_key(shard, CFG["accuracy"])
+            key, cell = cell_result_key(shard, CFG["accuracy"])
             store.save(key, cell, {"misprediction_percent": 7.5})
         cells = scan(str(tmp_path / "run"))
         assert {c.status for c in cells} == {"results_missing"}

@@ -1,34 +1,31 @@
-"""The parallel sweep executor: sharding, merging, checkpoints, retries.
+"""Sweep execution: sharding, merging, checkpoints, retries, dead workers.
 
 Serial/parallel byte-identity for the full grids is asserted in
 ``test_conformance_matrix.py``; here we exercise the executor machinery
-itself — worker-count resolution, checkpoint resume after a simulated
-crash, the retry budget, config pinning, and the run reports that feed
-obs manifests.
+itself through the public sweeps — worker-count resolution, checkpoint
+resume after a simulated crash, worker processes that die, the retry
+budget, config pinning, and the run reports that feed obs manifests.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.harness.experiment import default_jobs
+from repro.harness.figconfig import GridSpec, grid_shards
 from repro.harness.parallel import (
     CheckpointStore,
     Shard,
     SweepExecutionError,
-    accuracy_shard_grid,
-    drain_run_reports,
-    parallel_accuracy_sweep,
-    pool_jobs,
     resolve_max_retries,
-    run_shards,
 )
 from repro.harness.sweep import accuracy_sweep, ipc_sweep
-from repro.obs.manifest import build_manifest
+from repro.obs.manifest import RUN_REPORTS, build_manifest
 from repro.workloads.spec2000 import (
     clear_trace_cache,
     trace_cache_capacity,
@@ -48,12 +45,17 @@ SWEEP_KWARGS = dict(
 )
 
 
+def accuracy_shards(families, budgets, benchmarks) -> list[Shard]:
+    grid = GridSpec("accuracy", tuple(families), tuple(budgets), tuple(benchmarks))
+    return list(grid_shards(grid))
+
+
 @pytest.fixture(autouse=True)
 def _fresh_reports():
-    """Each test sees only its own parallel-run reports."""
-    drain_run_reports()
+    """Each test sees only its own executor run reports."""
+    RUN_REPORTS.clear()
     yield
-    drain_run_reports()
+    RUN_REPORTS.clear()
 
 
 # -- configuration resolution --------------------------------------------------
@@ -62,19 +64,15 @@ def _fresh_reports():
 class TestJobResolution:
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "7")
-        assert pool_jobs(3) == 3
+        assert default_jobs(3) == 3
 
     def test_explicit_argument_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            pool_jobs(0)
+            default_jobs(0)
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "5")
-        assert pool_jobs() == 5
-
-    def test_unset_env_defaults_to_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert pool_jobs() == (os.cpu_count() or 1)
+        assert default_jobs() == 5
 
     @pytest.mark.parametrize("raw", ["auto", "0", "AUTO"])
     def test_default_jobs_auto(self, monkeypatch, raw):
@@ -116,7 +114,7 @@ def test_shard_key_is_stable_and_filename_safe():
 
 
 def test_shard_grid_matches_serial_iteration_order():
-    grid = accuracy_shard_grid(FAMILIES, [1024, 2048], BENCHMARKS)
+    grid = accuracy_shards(FAMILIES, [1024, 2048], BENCHMARKS)
     assert [(s.benchmark, s.family, s.budget_bytes) for s in grid] == [
         (benchmark, family, budget)
         for benchmark in BENCHMARKS
@@ -161,9 +159,7 @@ def test_ipc_stored_payloads_match_serial(tmp_path, monkeypatch):
 
 def test_parallel_sweep_writes_run_manifest(tmp_path):
     run_dir = tmp_path / "run"
-    cells = parallel_accuracy_sweep(
-        **SWEEP_KWARGS, engine=None, jobs=2, run_dir=str(run_dir)
-    )
+    cells = accuracy_sweep(**SWEEP_KWARGS, jobs=2, run_dir=str(run_dir))
     assert len(cells) == len(FAMILIES) * len(BUDGETS) * len(BENCHMARKS)
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["status"] == "completed"
@@ -173,8 +169,26 @@ def test_parallel_sweep_writes_run_manifest(tmp_path):
     assert manifest["retries"] == 0 and manifest["failures"] == []
     assert len(manifest["shard_timings"]) == 4
     assert sum(w["shards"] for w in manifest["workers"].values()) == 4
-    run = json.loads((run_dir / "run.json").read_text())
-    assert run["config"]["accuracy"]["instructions"] == INSTRUCTIONS
+    pinned = json.loads((run_dir / "campaign.json").read_text())
+    assert pinned["cfg"]["accuracy"]["instructions"] == INSTRUCTIONS
+    assert not (run_dir / "run.json").exists()  # campaign.json is the one pin
+
+
+def test_one_run_dir_serves_several_sweeps(tmp_path):
+    """Sweeps of different grids (and kinds) share one run directory: each
+    joins the pinned campaign, and a rerun of either skips every cell."""
+    from repro.harness.campaign import class_counts, scan
+
+    run_dir = str(tmp_path / "run")
+    first = accuracy_sweep(**SWEEP_KWARGS, jobs=1, run_dir=run_dir)
+    other = dict(SWEEP_KWARGS, families=["bimode"])
+    second = accuracy_sweep(**other, jobs=2, run_dir=run_dir)
+    ipc = ipc_sweep(**SWEEP_KWARGS, mode="ideal", run_dir=run_dir)
+    assert class_counts(scan(run_dir))["completed"] == 4 + 2 + 4
+    assert accuracy_sweep(**other, jobs=1, run_dir=run_dir) == second
+    assert RUN_REPORTS[-1]["shards"]["resumed"] == 2
+    assert first == accuracy_sweep(**SWEEP_KWARGS, jobs=1)
+    assert ipc == ipc_sweep(**SWEEP_KWARGS, mode="ideal", jobs=1)
 
 
 # -- crash / resume ------------------------------------------------------------
@@ -182,12 +196,12 @@ def test_parallel_sweep_writes_run_manifest(tmp_path):
 
 def test_abort_then_resume_skips_checkpointed_shards(tmp_path, monkeypatch):
     run_dir = tmp_path / "run"
-    kwargs = dict(SWEEP_KWARGS, engine=None, jobs=1, run_dir=str(run_dir))
+    kwargs = dict(SWEEP_KWARGS, jobs=1, run_dir=str(run_dir))
 
-    monkeypatch.setenv("REPRO_PARALLEL_ABORT_AFTER", "2")
-    with pytest.raises(RuntimeError, match="REPRO_PARALLEL_ABORT_AFTER"):
-        parallel_accuracy_sweep(**kwargs)
-    aborted = drain_run_reports()[-1]
+    monkeypatch.setenv("REPRO_CAMPAIGN_ABORT_AFTER", "2")
+    with pytest.raises(RuntimeError, match="REPRO_CAMPAIGN_ABORT_AFTER"):
+        accuracy_sweep(**kwargs)
+    aborted = RUN_REPORTS[-1]
     assert aborted["status"] == "aborted"
     assert aborted["shards"]["executed"] == 2
     assert aborted["shards"]["incomplete"] == 2
@@ -197,9 +211,12 @@ def test_abort_then_resume_skips_checkpointed_shards(tmp_path, monkeypatch):
     assert len(checkpoints) == 2
     mtimes = {p.name: p.stat().st_mtime_ns for p in checkpoints}
 
-    monkeypatch.delenv("REPRO_PARALLEL_ABORT_AFTER")
-    cells = parallel_accuracy_sweep(**kwargs)
-    resumed = drain_run_reports()[-1]
+    monkeypatch.delenv("REPRO_CAMPAIGN_ABORT_AFTER")
+    started = time.perf_counter()
+    cells = accuracy_sweep(**kwargs)
+    # The in-process worker's claim was released, not left to go stale.
+    assert time.perf_counter() - started < 60
+    resumed = RUN_REPORTS[-1]
     assert resumed["status"] == "completed"
     assert resumed["shards"]["resumed"] == 2
     assert resumed["shards"]["executed"] == 2
@@ -212,11 +229,10 @@ def test_abort_then_resume_skips_checkpointed_shards(tmp_path, monkeypatch):
 
 def test_resume_refuses_different_config(tmp_path):
     run_dir = str(tmp_path / "run")
-    parallel_accuracy_sweep(**SWEEP_KWARGS, engine=None, jobs=1, run_dir=run_dir)
+    accuracy_sweep(**SWEEP_KWARGS, jobs=1, run_dir=run_dir)
     with pytest.raises(ConfigurationError, match="different"):
-        parallel_accuracy_sweep(
+        accuracy_sweep(
             **dict(SWEEP_KWARGS, instructions=INSTRUCTIONS * 2),
-            engine=None,
             jobs=1,
             run_dir=run_dir,
         )
@@ -233,11 +249,12 @@ def test_checkpoint_store_ignores_corrupt_and_mismatched_files(tmp_path):
     assert store.load(shard) is None  # wrong schema
 
 
-def test_run_json_schema_mismatch_is_refused(tmp_path):
-    (tmp_path / "run.json").write_text(json.dumps({"schema": -1, "config": {}}))
-    store = CheckpointStore(str(tmp_path))
+def test_campaign_json_schema_mismatch_is_refused(tmp_path):
+    (tmp_path / "campaign.json").write_text(
+        json.dumps({"schema": -1, "cfg": {}, "shards": []})
+    )
     with pytest.raises(ConfigurationError, match="schema"):
-        store.pin_config("accuracy", {"instructions": 1})
+        accuracy_sweep(**SWEEP_KWARGS, jobs=1, run_dir=str(tmp_path))
 
 
 # -- retries -------------------------------------------------------------------
@@ -246,8 +263,8 @@ def test_run_json_schema_mismatch_is_refused(tmp_path):
 def test_injected_failure_is_retried_and_recorded(monkeypatch):
     monkeypatch.setenv("REPRO_PARALLEL_FAIL_SHARD", "gcc__gshare")
     monkeypatch.setenv("REPRO_PARALLEL_FAIL_ATTEMPTS", "2")
-    cells = parallel_accuracy_sweep(**SWEEP_KWARGS, engine=None, jobs=2, max_retries=2)
-    report = drain_run_reports()[-1]
+    cells = accuracy_sweep(**SWEEP_KWARGS, jobs=2, max_retries=2)
+    report = RUN_REPORTS[-1]
     assert report["status"] == "completed"
     assert report["retries"] == 2
     assert [f["shard"] for f in report["failures"]] == [
@@ -255,6 +272,7 @@ def test_injected_failure_is_retried_and_recorded(monkeypatch):
         "accuracy__gcc__gshare__2048",
     ]
     assert [f["attempt"] for f in report["failures"]] == [0, 1]
+    assert all("injected failure" in f["error"] for f in report["failures"])
     # Retried results are still byte-identical to the clean serial run.
     monkeypatch.delenv("REPRO_PARALLEL_FAIL_SHARD")
     monkeypatch.delenv("REPRO_PARALLEL_FAIL_ATTEMPTS")
@@ -266,9 +284,7 @@ def test_exhausted_retry_budget_fails_the_run(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_PARALLEL_FAIL_SHARD", "gcc__gshare")
     monkeypatch.setenv("REPRO_PARALLEL_FAIL_ATTEMPTS", "99")
     with pytest.raises(SweepExecutionError, match="max_retries=1"):
-        parallel_accuracy_sweep(
-            **SWEEP_KWARGS, engine=None, jobs=1, max_retries=1, run_dir=str(run_dir)
-        )
+        accuracy_sweep(**SWEEP_KWARGS, jobs=1, max_retries=1, run_dir=str(run_dir))
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["retries"] == 2  # initial attempt + one retry, both failed
@@ -277,8 +293,47 @@ def test_exhausted_retry_budget_fails_the_run(monkeypatch, tmp_path):
 # -- obs integration -----------------------------------------------------------
 
 
+# -- worker processes that die -------------------------------------------------
+
+
+def test_dead_worker_costs_its_cell_one_retry(monkeypatch):
+    """Forked workers that die holding a claim: each held cell pays one
+    retry, its dead owner's claim is stolen at once, and the run finishes
+    in seconds with serial-identical results."""
+    monkeypatch.setenv("REPRO_CAMPAIGN_ABORT_AFTER", "1")
+    started = time.perf_counter()
+    cells = accuracy_sweep(**SWEEP_KWARGS, jobs=2)
+    assert time.perf_counter() - started < 60
+    report = RUN_REPORTS[-1]
+    assert report["status"] == "completed"
+    assert report["retries"] >= 1
+    assert all("died" in f["error"] for f in report["failures"])
+    monkeypatch.delenv("REPRO_CAMPAIGN_ABORT_AFTER")
+    assert cells == accuracy_sweep(**SWEEP_KWARGS, jobs=1)
+
+
+def test_dead_worker_exhausting_budget_fails_then_resumes(tmp_path, monkeypatch):
+    """With no retry budget a dead worker fails the run at once; the resume
+    steals the dead workers' claims without waiting for them to go stale."""
+    run_dir = tmp_path / "run"
+    monkeypatch.setenv("REPRO_CAMPAIGN_ABORT_AFTER", "1")
+    with pytest.raises(SweepExecutionError, match="died"):
+        accuracy_sweep(**SWEEP_KWARGS, jobs=2, max_retries=0, run_dir=str(run_dir))
+    assert RUN_REPORTS[-1]["status"] == "failed"
+    assert len(list((run_dir / "shards").glob("*__2048.json"))) == 2
+    assert list((run_dir / "claims").glob("*.json"))  # held by dead workers
+    monkeypatch.delenv("REPRO_CAMPAIGN_ABORT_AFTER")
+    monkeypatch.delenv("REPRO_CAMPAIGN_STALE_SECONDS", raising=False)
+    started = time.perf_counter()
+    cells = accuracy_sweep(**SWEEP_KWARGS, jobs=2, run_dir=str(run_dir))
+    assert time.perf_counter() - started < 60
+    assert RUN_REPORTS[-1]["shards"]["resumed"] == 2
+    assert not list((run_dir / "claims").glob("*.json"))
+    assert cells == accuracy_sweep(**SWEEP_KWARGS, jobs=1)
+
+
 def test_run_reports_land_in_obs_manifest():
-    parallel_accuracy_sweep(**SWEEP_KWARGS, engine=None, jobs=2)
+    accuracy_sweep(**SWEEP_KWARGS, jobs=2)
     manifest = build_manifest("test", "output", 0.0, config={})
     [report] = manifest["parallel"]
     assert report["label"] == "accuracy_sweep"
@@ -288,14 +343,9 @@ def test_run_reports_land_in_obs_manifest():
 
 
 def test_parallel_counters_when_profiling(obs_enabled):
-    run_shards(
-        accuracy_shard_grid(["bimodal"], BUDGETS, ["gcc"]),
-        {"instructions": INSTRUCTIONS, "engine": None, "warmup_fraction": 0.2},
-        jobs=1,
-    )
+    accuracy_sweep(["bimodal"], BUDGETS, benchmarks=["gcc"], instructions=INSTRUCTIONS, jobs=2)
     counters = obs_enabled.snapshot()["counters"]
     assert counters["parallel.shards_executed"] == 1
-    drain_run_reports()
 
 
 # -- trace store ---------------------------------------------------------------
@@ -324,9 +374,7 @@ class TestTraceStoreIntegration:
         """Every worker loads from the shared store — per-worker manifest
         stats show store hits and zero misses (nothing regenerated)."""
         run_dir = tmp_path / "run"
-        parallel_accuracy_sweep(
-            **SWEEP_KWARGS, engine=None, jobs=2, run_dir=str(run_dir)
-        )
+        accuracy_sweep(**SWEEP_KWARGS, jobs=2, run_dir=str(run_dir))
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["trace_store"]["hits"] >= 2  # one per benchmark at least
         assert manifest["trace_store"]["misses"] == 0
@@ -341,13 +389,13 @@ class TestTraceStoreIntegration:
         self, warm_store, tmp_path, monkeypatch
     ):
         run_dir = tmp_path / "run"
-        kwargs = dict(SWEEP_KWARGS, engine=None, jobs=1, run_dir=str(run_dir))
-        monkeypatch.setenv("REPRO_PARALLEL_ABORT_AFTER", "2")
-        with pytest.raises(RuntimeError, match="REPRO_PARALLEL_ABORT_AFTER"):
-            parallel_accuracy_sweep(**kwargs)
-        monkeypatch.delenv("REPRO_PARALLEL_ABORT_AFTER")
-        resumed = parallel_accuracy_sweep(**kwargs)
-        report = drain_run_reports()[-1]
+        kwargs = dict(SWEEP_KWARGS, jobs=1, run_dir=str(run_dir))
+        monkeypatch.setenv("REPRO_CAMPAIGN_ABORT_AFTER", "2")
+        with pytest.raises(RuntimeError, match="REPRO_CAMPAIGN_ABORT_AFTER"):
+            accuracy_sweep(**kwargs)
+        monkeypatch.delenv("REPRO_CAMPAIGN_ABORT_AFTER")
+        resumed = accuracy_sweep(**kwargs)
+        report = RUN_REPORTS[-1]
         assert report["shards"]["resumed"] == 2
         # Byte-identical to the serial, storeless path.
         monkeypatch.delenv("REPRO_TRACE_STORE")
@@ -355,10 +403,9 @@ class TestTraceStoreIntegration:
         assert resumed == accuracy_sweep(**SWEEP_KWARGS, jobs=1)
 
     def test_parallel_store_counters_reach_obs(self, warm_store, obs_enabled):
-        parallel_accuracy_sweep(**SWEEP_KWARGS, engine=None, jobs=2)
+        accuracy_sweep(**SWEEP_KWARGS, jobs=2)
         counters = obs_enabled.snapshot()["counters"]
         assert counters["trace_store.hits"] >= 2
-        drain_run_reports()
 
 
 # -- checkpoint atomicity ------------------------------------------------------
@@ -394,10 +441,8 @@ class TestCheckpointAtomicity:
         # ...and, belt-and-braces, torn JSON under a *final* name too
         # (pre-atomic layouts could produce this).
         (shard_dir / "accuracy__eon__gshare__2048.json").write_text('{"sch')
-        cells = parallel_accuracy_sweep(
-            **SWEEP_KWARGS, engine=None, jobs=1, run_dir=str(run_dir)
-        )
-        report = drain_run_reports()[-1]
+        cells = accuracy_sweep(**SWEEP_KWARGS, jobs=1, run_dir=str(run_dir))
+        report = RUN_REPORTS[-1]
         assert report["status"] == "completed"
         assert report["shards"]["resumed"] == 0  # nothing was trusted
         assert report["shards"]["executed"] == 4
@@ -413,7 +458,7 @@ class TestCheckpointAtomicity:
         shard_dir = run_dir / "shards"
         shard_dir.mkdir(parents=True)
         layout = CampaignLayout(str(run_dir))
-        grid = accuracy_shard_grid(FAMILIES, BUDGETS, BENCHMARKS)
+        grid = accuracy_shards(FAMILIES, BUDGETS, BENCHMARKS)
         torn_final, torn_staging = grid[0], grid[1]
         # Torn JSON under the *final* checkpoint name...
         (shard_dir / f"{torn_final.key}.json").write_text('{"schema": 1, "payl')
@@ -422,10 +467,8 @@ class TestCheckpointAtomicity:
         assert classify_shard(torn_final, layout=layout) == "partial"
         assert classify_shard(torn_staging, layout=layout) == "partial"
 
-        cells = parallel_accuracy_sweep(
-            **SWEEP_KWARGS, engine=None, jobs=1, run_dir=str(run_dir)
-        )
-        report = drain_run_reports()[-1]
+        cells = accuracy_sweep(**SWEEP_KWARGS, jobs=1, run_dir=str(run_dir))
+        report = RUN_REPORTS[-1]
         assert report["status"] == "completed"
         assert report["shards"]["resumed"] == 0  # the torn shard was not trusted
         assert report["shards"]["executed"] == 4
